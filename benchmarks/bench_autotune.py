@@ -5,7 +5,7 @@ fixed IOCount rule on accuracy and IO budget.
 
 import numpy as np
 
-from repro.core import baselines, detect_phases, execute, rest_device
+from repro.core import Engine, baselines, detect_phases, rest_device
 from repro.core.autotune import autotune_run
 from repro.core.methodology import recommended_io_count
 from repro.core.report import format_table
@@ -25,7 +25,7 @@ def test_autotune_vs_fixed_iocount(once):
     # ground truth: a long run, start-up excluded
     truth = {}
     for label in ("SR", "RR", "SW", "RW"):
-        long_run = execute(device, specs[label].with_(io_count=2048))
+        long_run = Engine(device).run(specs[label].with_(io_count=2048))
         responses = np.array(long_run.trace.response_times())
         cut = detect_phases(responses).startup
         truth[label] = float(responses[cut:].mean())

@@ -9,7 +9,7 @@ measurements.
 import numpy as np
 
 from repro.analysis import plot_trace
-from repro.core import baselines, detect_phases, execute, running_average
+from repro.core import Engine, baselines, detect_phases, running_average
 from repro.paperdata import PHASES
 from repro.units import KIB
 
@@ -27,7 +27,7 @@ def test_fig3_mtron_rw_phases(once):
         sequential_target_size=device.capacity,
     )["RW"]
 
-    run = once(execute, device, spec)
+    run = once(Engine(device).run, spec)
     responses = run.trace.response_times()
     phases = detect_phases(responses)
     incl = running_average(responses)

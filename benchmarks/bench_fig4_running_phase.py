@@ -5,7 +5,7 @@ The paper's trace shows *no* start-up phase and a periodic oscillation
 """
 
 from repro.analysis import plot_trace
-from repro.core import baselines, detect_phases, execute
+from repro.core import Engine, baselines, detect_phases
 from repro.paperdata import PHASES
 from repro.units import KIB
 
@@ -23,7 +23,7 @@ def test_fig4_dti_sw_running_phase(once):
         sequential_target_size=device.capacity,
     )["SW"]
 
-    run = once(execute, device, spec)
+    run = once(Engine(device).run, spec)
     responses = run.trace.response_times()
     phases = detect_phases(responses)
 

@@ -32,7 +32,7 @@ def test_fig6_granularity_memoright(once):
     bench = build_microbenchmark("granularity", ctx, sizes=SIZES)
 
     def run_all():
-        from repro.core import execute
+        from repro.core import Engine
 
         series = {}
         for label in ("SR", "RR", "SW"):
@@ -49,7 +49,7 @@ def test_fig6_granularity_memoright(once):
         experiment = bench.experiment("RW")
         means = []
         for value in experiment.values:
-            run = execute(device, experiment.spec_for(value))
+            run = Engine(device).run(experiment.spec_for(value))
             means.append(run.stats.mean_usec / 1000.0)
         series["RW"] = ([v / KIB for v in experiment.values], means)
         return series

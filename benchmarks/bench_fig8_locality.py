@@ -12,10 +12,10 @@ import numpy as np
 from repro.analysis import plot_series
 from repro.core import (
     BenchContext,
+    Engine,
     baselines,
     build_microbenchmark,
     detect_phases,
-    execute,
     rest_device,
     run_experiment,
 )
@@ -37,7 +37,7 @@ def sw_steady(device):
         random_target_size=device.capacity,
         sequential_target_size=device.capacity,
     )["SW"]
-    run = execute(device, spec)
+    run = Engine(device).run(spec)
     rest_device(device, 30 * SEC)
     responses = np.array(run.trace.response_times())
     return float(responses.mean()) / 1000.0
@@ -50,8 +50,7 @@ def test_fig8_locality_three_ssds(once):
             device = ready_device(name)
             sw = sw_steady(device)
             # exclude each run's start-up so the running phase is compared
-            run = execute(
-                device,
+            run = Engine(device).run(
                 baselines(
                     io_size=32 * KIB,
                     io_count=512,

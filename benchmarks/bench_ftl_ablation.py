@@ -16,10 +16,10 @@ as flash chips (Section 1).
 import numpy as np
 
 from repro.core import (
+    Engine,
     baselines,
     detect_phases,
     enforce_random_state,
-    execute,
     rest_device,
 )
 from repro.core.report import format_table
@@ -78,7 +78,7 @@ def build_variant(kind: str):
 
 
 def steady(device, spec):
-    run = execute(device, spec)
+    run = Engine(device).run(spec)
     responses = np.array(run.trace.response_times())
     cut = detect_phases(responses).startup
     rest_device(device, 30 * SEC)
@@ -104,8 +104,7 @@ def test_ftl_family_drives_the_write_behaviour(once):
             }
             # in-place rewrites of one block (the classic DB page update)
             block = device.geometry.block_size
-            execute(
-                device,
+            Engine(device).run(
                 PatternSpec(
                     mode=Mode.WRITE,
                     location=LocationKind.SEQUENTIAL,

@@ -11,7 +11,6 @@ from repro.core import (
     baselines,
     build_microbenchmark,
     detect_phases,
-    execute,
     rest_device,
     run_experiment,
 )

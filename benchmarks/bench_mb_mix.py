@@ -14,11 +14,10 @@ import numpy as np
 
 from repro.core import (
     BenchContext,
+    Engine,
     baselines,
     build_microbenchmark,
     detect_phases,
-    execute,
-    execute_mix,
     rest_device,
     run_experiment,
 )
@@ -30,7 +29,7 @@ from conftest import ready_device, report
 
 
 def steady(device, spec):
-    run = execute(device, spec)
+    run = Engine(device).run(spec)
     responses = np.array(run.trace.response_times())
     cut = detect_phases(responses).startup
     rest_device(device, 30 * SEC)
@@ -70,7 +69,7 @@ def test_mix_is_cost_additive(once):
                 bench = build_microbenchmark("mix", ctx, ratios=(ratio,))
                 experiment = bench.experiments[experiment_index]
                 mix = experiment.spec_for(ratio)
-                result = execute_mix(device, mix)
+                result = Engine(device).run(mix)
                 rest_device(device, 30 * SEC)
                 expected = (
                     ratio * base_cost[primary_label] + base_cost[secondary_label]
@@ -119,7 +118,7 @@ def test_short_read_mostly_mix_pitfall(once):
             ratio=8,
             io_count=512,
         )
-        return execute_mix(device, mix)
+        return Engine(device).run(mix)
 
     result = once(run_short_mix)
     rest_device(device, 60 * SEC)

@@ -9,7 +9,7 @@ relative to sequential/random writes — per device class:
 """
 
 from repro.analysis.summarize import _allocate_fn, _measure_order
-from repro.core import BenchContext, baselines, detect_phases, execute, rest_device
+from repro.core import BenchContext, Engine, baselines, detect_phases, rest_device
 from repro.core.plan import TargetAllocator
 from repro.core.report import format_table
 from repro.paperdata import TABLE3
@@ -33,10 +33,10 @@ def test_order_factors_across_device_classes(once):
                 random_target_size=device.capacity,
                 sequential_target_size=device.capacity,
             )
-            sw_run = execute(device, specs["SW"])
+            sw_run = Engine(device).run(specs["SW"])
             sw = float(np.mean(sw_run.trace.response_times())) / 1000.0
             rest_device(device, 30 * SEC)
-            rw_run = execute(device, specs["RW"])
+            rw_run = Engine(device).run(specs["RW"])
             responses = np.array(rw_run.trace.response_times())
             startup = detect_phases(responses).startup
             rw = float(responses[startup:].mean()) / 1000.0

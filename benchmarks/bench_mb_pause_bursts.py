@@ -13,9 +13,9 @@ Paper observations:
 import numpy as np
 
 from repro.core import (
+    Engine,
     baselines,
     detect_phases,
-    execute,
     rest_device,
 )
 from repro.core.patterns import TimingKind
@@ -26,7 +26,7 @@ from conftest import ready_device, report
 
 
 def steady(device, spec):
-    run = execute(device, spec)
+    run = Engine(device).run(spec)
     responses = np.array(run.trace.response_times())
     cut = detect_phases(responses).startup
     span = run.trace[-1].completed_at - run.trace[0].submitted_at

@@ -11,10 +11,9 @@ nothing.
 
 import numpy as np
 
-from repro.core import baselines, detect_phases, execute, rest_device
+from repro.core import Engine, baselines, detect_phases, rest_device
 from repro.core.patterns import ParallelMixSpec
 from repro.core.report import format_table
-from repro.core.runner import execute_parallel_mix
 from repro.units import KIB, SEC
 
 from conftest import ready_device, report
@@ -32,7 +31,7 @@ def test_heterogeneous_parallel_composition(once):
     )
 
     def solo_span(spec):
-        run = execute(device, spec)
+        run = Engine(device).run(spec)
         span = run.trace[-1].completed_at - run.trace[0].submitted_at
         rest_device(device, 30 * SEC)
         return span
@@ -50,7 +49,7 @@ def test_heterogeneous_parallel_composition(once):
             b = specs[second].with_(target_offset=half, seed=14)
             span_a = solo_span(a)
             span_b = solo_span(b)
-            mix = execute_parallel_mix(device, ParallelMixSpec((a, b)))
+            mix = Engine(device).run(ParallelMixSpec((a, b)))
             span_mix = max(
                 run.trace[-1].completed_at for run in mix.runs
             ) - min(run.trace[0].submitted_at for run in mix.runs)

@@ -7,7 +7,7 @@ magnitude more energy per byte than sequential ones on hybrid devices,
 and the gap mirrors the Table 3 response-time gap.
 """
 
-from repro.core import baselines, execute, rest_device
+from repro.core import Engine, baselines, rest_device
 from repro.core.report import format_table
 from repro.flashsim.power import MLC_POWER, SLC_POWER, measure_run_energy
 from repro.units import KIB, MIB, SEC
@@ -29,7 +29,7 @@ def test_energy_per_pattern(once):
             )
             rows = {}
             for label in ("SR", "RR", "SW", "RW"):
-                run = execute(device, specs[label])
+                run = Engine(device).run(specs[label])
                 meter = measure_run_energy(run.trace, spec)
                 rows[label] = (
                     meter.mean_uj_per_io,

@@ -8,7 +8,7 @@ must cover the start-up phase and IOCount must cover enough periods.
 
 import numpy as np
 
-from repro.core import baselines, detect_phases, execute, run_control_for
+from repro.core import Engine, baselines, detect_phases, run_control_for
 from repro.core.report import format_table
 from repro.units import KIB
 
@@ -23,7 +23,7 @@ def test_iocount_sensitivity(once):
         random_target_size=device.capacity,
     )["RW"]
 
-    run = once(execute, device, spec)
+    run = once(Engine(device).run, spec)
     responses = np.array(run.trace.response_times())
     phases = detect_phases(responses)
     true_mean = float(responses[phases.startup :].mean()) / 1000.0

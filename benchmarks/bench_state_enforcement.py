@@ -14,10 +14,10 @@ Paper observations:
 import numpy as np
 
 from repro.core import (
+    Engine,
     detect_phases,
     enforce_random_state,
     enforce_sequential_state,
-    execute,
     rest_device,
 )
 from repro.core.patterns import LocationKind, PatternSpec
@@ -43,11 +43,11 @@ def rw16(capacity, io_count=512, seed=42):
 def test_out_of_box_measurements_are_meaningless(once):
     def run():
         device = build_device("samsung", logical_bytes=64 * MIB)
-        fresh = execute(device, rw16(device.capacity, io_count=256))
+        fresh = Engine(device).run(rw16(device.capacity, io_count=256))
         out_of_box = fresh.stats.mean_usec / 1000.0
         enforce_random_state(device)
         rest_device(device, 30 * SEC)
-        run2 = execute(device, rw16(device.capacity, seed=7))
+        run2 = Engine(device).run(rw16(device.capacity, seed=7))
         responses = np.array(run2.trace.response_times())
         cut = detect_phases(responses).startup
         enforced = float(responses[cut:].mean()) / 1000.0
@@ -82,8 +82,7 @@ def test_random_state_repeatable_and_enforcement_costs(once):
         rest_device(device, 60 * SEC)
 
         def steady_rw(seed):
-            run = execute(
-                device,
+            run = Engine(device).run(
                 rw16(device.capacity, io_count=768, seed=seed).with_(
                     io_size=32 * KIB
                 ),

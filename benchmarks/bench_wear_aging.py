@@ -7,7 +7,7 @@ workloads, and shows that static wear levelling keeps the erase spread
 bounded under a hot-spot workload.
 """
 
-from repro.core import baselines, execute, rest_device
+from repro.core import Engine, baselines, rest_device
 from repro.core.report import format_table
 from repro.flashsim.wear import project_lifetime, wear_report
 from repro.units import KIB, SEC
@@ -27,7 +27,7 @@ def test_lifetime_projection_by_workload(once):
             seed=23,
         )[label]
         before = wear_report(device)
-        run = execute(device, spec)
+        run = Engine(device).run(spec)
         after = wear_report(device)
         elapsed = run.trace[-1].completed_at - run.trace[0].submitted_at
         projection = project_lifetime(

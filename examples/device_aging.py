@@ -20,7 +20,7 @@ Run:  python examples/device_aging.py
 
 import time
 
-from repro import build_device, enforce_random_state, execute, rest_device
+from repro import Engine, build_device, enforce_random_state, rest_device
 from repro.core.patterns import LocationKind, PatternSpec
 from repro.core.report import format_table
 from repro.flashsim import analytic
@@ -104,7 +104,7 @@ def aging_loop() -> None:
     checkpoints = []
     wall_start = time.perf_counter()
     for round_no in range(1, AGING_ROUNDS + 1):
-        execute(device, burst)
+        Engine(device).run(burst)
         rest_device(device, 3600 * SEC)
         if round_no % CHECKPOINT_EVERY == 0:
             packed = pack_snapshot(device.snapshot())
@@ -147,7 +147,7 @@ def main() -> None:
     )
     for name in names:
         before = wear_report(device)
-        run = execute(device, workload(name, device.capacity))
+        run = Engine(device).run(workload(name, device.capacity))
         after = wear_report(device)
         elapsed = run.trace[-1].completed_at - run.trace[0].submitted_at
         projection = project_lifetime(

@@ -12,7 +12,7 @@ two devices by measuring the partitioned-write cost directly.
 Run:  python examples/external_sort_partitioning.py
 """
 
-from repro import build_device, enforce_random_state, execute, rest_device
+from repro import Engine, build_device, enforce_random_state, rest_device
 from repro.core.patterns import LocationKind, PatternSpec
 from repro.core.report import format_table
 from repro.iotypes import Mode
@@ -36,7 +36,7 @@ def measure_partition_cost(device, partitions: int) -> float:
         target_size=target,
         partitions=partitions,
     )
-    run = execute(device, spec)
+    run = Engine(device).run(spec)
     rest_device(device, 10 * SEC)
     return run.stats.mean_usec / 1000.0
 

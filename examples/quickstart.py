@@ -8,11 +8,11 @@ Run:  python examples/quickstart.py
 """
 
 from repro import (
+    Engine,
     baselines,
     build_device,
     detect_phases,
     enforce_random_state,
-    execute,
     rest_device,
 )
 from repro.analysis import plot_trace
@@ -45,7 +45,7 @@ def main() -> None:
     print("\nbaseline patterns (32 KiB):")
     rw_run = None
     for label in ("SR", "RR", "SW", "RW"):
-        run = execute(device, specs[label])
+        run = Engine(device).run(specs[label])
         print(f"  {label}: {run.stats.summary()}")
         if label == "RW":
             rw_run = run

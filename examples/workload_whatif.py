@@ -9,7 +9,7 @@ application.
 Run:  python examples/workload_whatif.py
 """
 
-from repro import build_device, enforce_random_state, rest_device
+from repro import Engine, build_device, enforce_random_state, rest_device
 from repro.core.replay import ReplayMode, replay
 from repro.core.report import format_table
 from repro.core.workloads import evaluate_workload, oltp_mix
@@ -42,9 +42,7 @@ def main() -> None:
     print(f"  {report.summary()}")
 
     # serialise the captured trace exactly as the paper publishes runs
-    from repro.core.runner import execute_mix
-
-    run = execute_mix(source, workload)
+    run = Engine(source).run(workload)
     rows = IOTrace.parse_csv(run.trace.to_csv())
     original_span = rows[-1].completed_at - rows[0].submitted_at
 

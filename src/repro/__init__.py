@@ -14,17 +14,18 @@ Patterns*, CIDR 2009, on a simulated flash-device substrate:
 
 Quickstart::
 
-    from repro import build_device, enforce_random_state, baselines, execute
+    from repro import Engine, build_device, enforce_random_state, baselines
 
     device = build_device("memoright")
     enforce_random_state(device)
-    run = execute(device, baselines(io_count=256)["RW"])
+    run = Engine(device).run(baselines(io_count=256)["RW"])
     print(run.stats.summary())
 """
 
 from repro.core import (
     BenchContext,
     BenchmarkPlan,
+    Engine,
     Experiment,
     MixSpec,
     ParallelSpec,
@@ -35,9 +36,6 @@ from repro.core import (
     detect_phases,
     enforce_random_state,
     enforce_sequential_state,
-    execute,
-    execute_mix,
-    execute_parallel,
     measure_phases,
     rest_device,
     run_control_for,
@@ -52,6 +50,7 @@ __all__ = [
     "BenchContext",
     "BenchmarkPlan",
     "CompletedIO",
+    "Engine",
     "Experiment",
     "IORequest",
     "MixSpec",
@@ -66,9 +65,6 @@ __all__ = [
     "detect_phases",
     "enforce_random_state",
     "enforce_sequential_state",
-    "execute",
-    "execute_mix",
-    "execute_parallel",
     "get_profile",
     "measure_phases",
     "profile_names",

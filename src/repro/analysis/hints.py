@@ -17,13 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.engine import Engine, rest_device
 from repro.core.patterns import (
     LocationKind,
     ParallelSpec,
     PatternSpec,
     baselines,
 )
-from repro.core.runner import execute, execute_mix, execute_parallel, rest_device
 from repro.flashsim.device import FlashDevice
 from repro.iotypes import Mode
 from repro.units import KIB, MIB, SEC
@@ -41,7 +41,7 @@ class HintResult:
 
 def _mean(device: FlashDevice, spec: PatternSpec) -> float:
     """Mean response time (us) of a run, followed by a rest."""
-    run = execute(device, spec)
+    run = Engine(device).run(spec)
     rest_device(device, 5 * SEC)
     return run.stats.mean_usec
 
@@ -240,14 +240,13 @@ def check_hint6_mix(device: FlashDevice, io_count: int = 192) -> HintResult:
     rr = _mean(device, specs["RR"].with_(target_offset=half))
     from repro.core.patterns import MixSpec
 
-    mixed = execute_mix(
-        device,
+    mixed = Engine(device).run(
         MixSpec(
             primary=specs["SR"],
             secondary=specs["RR"].with_(target_offset=half),
             ratio=1,
             io_count=io_count,
-        ),
+        )
     )
     rest_device(device, 5 * SEC)
     expected = (sr + rr) / 2.0
@@ -273,10 +272,10 @@ def check_hint7_concurrency(device: FlashDevice, io_count: int = 128) -> HintRes
         io_count=io_count,
         target_size=area,
     )
-    solo = execute(device, base)
+    solo = Engine(device).run(base)
     solo_total = solo.stats.total_usec
     rest_device(device, 5 * SEC)
-    par = execute_parallel(device, ParallelSpec(base=base, parallel_degree=4))
+    par = Engine(device).run(ParallelSpec(base=base, parallel_degree=4))
     par_total = max(run.trace[-1].completed_at for run in par.runs) - min(
         run.trace[0].submitted_at for run in par.runs
     )

@@ -21,13 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.engine import Engine, rest_device
 from repro.core.experiment import run_experiment
 from repro.core.microbench import BenchContext, locality
 from repro.core.patterns import PatternSpec, TimingKind, baselines
 from repro.core.phases import detect_phases
 from repro.core.plan import TargetAllocator
 from repro.core.report import format_table
-from repro.core.runner import execute, rest_device
 from repro.flashsim.device import FlashDevice
 from repro.paperdata import TABLE3, Table3Row
 from repro.units import KIB, MIB, SEC
@@ -79,7 +79,7 @@ class DeviceSummary:
 
 def _steady_mean_msec(device: FlashDevice, spec: PatternSpec) -> tuple[float, int]:
     """Mean response time (ms) after the detected start-up phase."""
-    run = execute(device, spec)
+    run = Engine(device).run(spec)
     responses = np.asarray(run.trace.response_times())
     phases = detect_phases(responses)
     rest_device(device, 10 * SEC)
@@ -178,8 +178,7 @@ def _measure_pause_effect(
     """
     spec = rw_spec.with_(io_count=io_ignore + 192, io_ignore=io_ignore)
     for pause_msec in (rw_msec / 2.0, rw_msec, 2.0 * rw_msec, 4.0 * rw_msec):
-        run = execute(
-            device,
+        run = Engine(device).run(
             spec.with_(timing=TimingKind.PAUSE, pause_usec=pause_msec * 1000.0),
         )
         rest_device(device, 10 * SEC)
@@ -248,7 +247,7 @@ def _measure_partitioning(
             seed=ctx.seed,
         )
         placed = _allocate_fn(allocator)(spec)
-        run = execute(device, placed)
+        run = Engine(device).run(placed)
         rest_device(device, 5 * SEC)
         means[partitions] = run.stats.mean_usec / 1000.0
     single = means[1]
@@ -294,7 +293,7 @@ def _measure_order(
 
     def measure(incr: int, io_count: int, warm_first: bool = False) -> float:
         if warm_first:
-            execute(device, warm)
+            Engine(device).run(warm)
         span = max(1, abs(incr)) * io_count * ctx.io_size
         target = min(span, area)
         spec = PatternSpec(
@@ -307,7 +306,7 @@ def _measure_order(
             seed=ctx.seed,
         )
         placed = _allocate_fn(allocator)(spec)
-        run = execute(device, placed)
+        run = Engine(device).run(placed)
         rest_device(device, 10 * SEC)
         return run.stats.mean_usec / 1000.0
 

@@ -27,12 +27,12 @@ from repro.analysis import (
 )
 from repro.core import (
     BenchContext,
+    Engine,
     autotune_run,
     baselines,
     build_microbenchmark,
     determine_pause,
     enforce_random_state,
-    execute,
     measure_phases,
     rest_device,
     run_experiment,
@@ -139,7 +139,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         partitions=args.partitions,
         seed=args.seed,
     )
-    run = execute(device, spec)
+    run = Engine(device).run(spec)
     print(f"{spec.label} on {device.name}: {run.stats.summary()}")
     if args.plot:
         print(plot_trace(run.trace.response_times(), title=f"{spec.label} trace"))
@@ -267,7 +267,7 @@ def _cmd_energy(args: argparse.Namespace) -> int:
     )
     rows = []
     for label in ("SR", "RR", "SW", "RW"):
-        run = execute(device, specs[label])
+        run = Engine(device).run(specs[label])
         meter = measure_run_energy(run.trace, power)
         rows.append(
             (
@@ -291,7 +291,7 @@ def _cmd_lifetime(args: argparse.Namespace) -> int:
         sequential_target_size=device.capacity,
     )[args.pattern]
     before = wear_report(device)
-    run = execute(device, spec)
+    run = Engine(device).run(spec)
     after = wear_report(device)
     elapsed = run.trace[-1].completed_at - run.trace[0].submitted_at
     projection = project_lifetime(
@@ -343,16 +343,12 @@ def _run_campaign(args: argparse.Namespace) -> int:
 
     profiles = [name.strip() for name in args.device.split(",") if name.strip()]
     capacity = parse_size(args.capacity) if args.capacity else None
-    legacy = getattr(args, "dispatch", "warm") == "legacy"
     executor = CampaignExecutor(
         jobs=args.jobs,
         cache=args.cache or None,
         enforce=not args.skip_state,
         enforce_seed=97,
         attribution=args.attribution,
-        share_snapshots=not legacy,
-        warm_workers=not legacy,
-        pipeline_prepare=not legacy,
     )
     registry = obs_metrics.install() if args.metrics else None
     tracer = obs_tracing.install() if args.trace else None
@@ -645,14 +641,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=1,
         help="worker processes for campaign cells (1 = run inline; "
              "results are identical either way)",
-    )
-    campaign_parser.add_argument(
-        "--dispatch", choices=("warm", "legacy"), default="warm",
-        help="parallel dispatch mode: 'warm' (default) shares enforced "
-             "snapshots through shared memory, keeps worker devices "
-             "resident and pipelines state enforcement; 'legacy' ships a "
-             "pickled snapshot per cell to cold workers (results are "
-             "identical either way)",
     )
     campaign_parser.add_argument(
         "--cache", default="",

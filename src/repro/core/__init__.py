@@ -1,7 +1,7 @@
 """``repro.core`` — the uFLIP benchmark (the paper's contribution).
 
 IO pattern algebra (:mod:`~repro.core.patterns`), execution
-(:mod:`~repro.core.runner`), the nine micro-benchmarks
+(:mod:`~repro.core.engine`), the nine micro-benchmarks
 (:mod:`~repro.core.microbench`), and the benchmarking methodology:
 state enforcement (:mod:`~repro.core.methodology`), two-phase analysis
 (:mod:`~repro.core.phases`), interference probing
@@ -19,7 +19,15 @@ from repro.core.archive import (
     result_from_payload,
     result_to_payload,
 )
-from repro.core.engine import Engine, reseed
+from repro.core.engine import (
+    Engine,
+    MixRun,
+    ParallelMixRun,
+    ParallelRun,
+    Run,
+    reseed,
+    rest_device,
+)
 from repro.core.autotune import AutotuneResult, autotune_run, confidence_halfwidth
 from repro.core.experiment import (
     Experiment,
@@ -71,17 +79,6 @@ from repro.core.phases import PhaseAnalysis, PhaseProfile, detect_phases, measur
 from repro.core.plan import BenchmarkPlan, StateReset, TargetAllocator
 from repro.core.report import render_mix_run
 from repro.core.replay import ReplayMode, ReplayResult, remap_rows, replay, replay_csv
-from repro.core.runner import (
-    MixRun,
-    ParallelMixRun,
-    ParallelRun,
-    Run,
-    execute,
-    execute_mix,
-    execute_parallel,
-    execute_parallel_mix,
-    rest_device,
-)
 from repro.core.stats import RunStats, converged, running_average, summarize
 from repro.core.workloads import (
     WorkloadReport,
@@ -148,10 +145,6 @@ __all__ = [
     "enforce_random_state",
     "enforce_sequential_state",
     "evaluate_workload",
-    "execute",
-    "execute_mix",
-    "execute_parallel",
-    "execute_parallel_mix",
     "execute_spec",
     "external_sort_merge",
     "list_campaigns",

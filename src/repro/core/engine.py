@@ -1,20 +1,14 @@
 """Unified spec-polymorphic execution engine.
 
-Historically each pattern-spec kind had its own front-end (``execute``,
-``execute_mix``, ``execute_parallel``, ``execute_parallel_mix`` in
-:mod:`repro.core.runner`) plus matching ``isinstance`` ladders in
-:mod:`repro.core.experiment` — five call sites to touch for every new
-spec kind, and the ladders drifted out of sync (``ParallelMixSpec``
-could be built and run directly but not dispatched or reseeded).
-
-The engine replaces all of that with two registries keyed by spec type:
-an *executor* (how to drive the spec against a device) and a *reseeder*
-(how to shift its random seeds for a repetition).  ``Engine.run(spec)``
-and :func:`reseed` look handlers up through the spec's MRO, so a new
-spec kind — even one defined outside this package — registers itself
-once with :meth:`Engine.executor` / :meth:`Engine.reseeder` and every
-caller (experiments, plans, the campaign executor, the CLI) picks it
-up unchanged.
+A *run* is one execution of a reference pattern against a device
+(Section 3.2, design principle 1).  The engine keeps two registries
+keyed by spec type: an *executor* (how to drive the spec against a
+device) and a *reseeder* (how to shift its random seeds for a
+repetition).  ``Engine.run(spec)`` and :func:`reseed` look handlers up
+through the spec's MRO, so a new spec kind — even one defined outside
+this package — registers itself once with :meth:`Engine.executor` /
+:meth:`Engine.reseeder` and every caller (experiments, plans, the
+campaign executor, the CLI) picks it up unchanged.
 """
 
 from __future__ import annotations
@@ -24,7 +18,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.core.generator import MixGenerator, PatternGenerator
+from repro.core.generator import IOProgram, MixGenerator, PatternGenerator
 from repro.core.patterns import MixSpec, ParallelMixSpec, ParallelSpec, PatternSpec
 from repro.core.stats import RunStats, summarize
 from repro.errors import ExperimentError
@@ -114,28 +108,16 @@ class Engine:
 
     One engine wraps one :class:`~repro.flashsim.device.FlashDevice`
     plus the per-IO OS overhead; :meth:`run` dispatches on the spec's
-    type through the executor registry.
-
-    ``columnar`` selects the recording pipeline: the default drives the
-    hosts' program runners, which record scalars straight into columnar
-    traces; ``columnar=False`` forces the legacy per-request feed path
-    (object construction per IO).  Both produce bit-identical traces
-    and statistics — the flag exists for the equivalence suite and the
-    hot-path benchmark.
+    type through the executor registry.  Every spec kind records
+    through the hosts' program runners, straight into columnar traces.
     """
 
     _executors: dict[type, ExecutorFn] = {}
     _reseeders: dict[type, ReseederFn] = {}
 
-    def __init__(
-        self,
-        device: FlashDevice,
-        os_overhead_usec: float = 0.0,
-        columnar: bool = True,
-    ) -> None:
+    def __init__(self, device: FlashDevice, os_overhead_usec: float = 0.0) -> None:
         self.device = device
         self.os_overhead_usec = os_overhead_usec
-        self.columnar = columnar
 
     # -- registry ------------------------------------------------------
 
@@ -194,44 +176,29 @@ class Engine:
 
     # -- shared plumbing for the built-in executors --------------------
 
-    def _trace_sync(self, generator, at: float) -> IOTrace:
-        """Drive one generator through a host.
+    def _trace(self, program: IOProgram, at: float) -> IOTrace:
+        """Drive one program through a host.
 
-        Specs with ``queue_depth > 1`` run through the async queued
-        host regardless of the ``columnar`` flag (queued submission is
-        columnar-only — there is no per-request-object async path);
-        everything else takes the synchronous reference host.
+        Programs with ``queue_depth > 1`` run through the async queued
+        host; everything else takes the synchronous reference host.
         """
-        depth = getattr(generator.spec, "queue_depth", 1)
-        if depth > 1:
+        if program.queue_depth > 1:
             host = AsyncHost(self.device, os_overhead_usec=self.os_overhead_usec)
             return host.run_program(
-                generator.program(), start_at=at, queue_depth=depth
+                program, start_at=at, queue_depth=program.queue_depth
             )
         host = SyncHost(self.device, os_overhead_usec=self.os_overhead_usec)
-        if self.columnar:
-            return host.run_program(generator.program(), start_at=at)
-        completions = host.run(generator, start_at=at)
-        trace = IOTrace(capacity=len(completions))
-        trace.extend(completions)
-        return trace
+        return host.run_program(program, start_at=at)
 
     def _merge_processes(self, result: ParallelRun, process_specs, at: float):
-        """Drive one generator per process and merge the per-process
+        """Drive one program per process and merge the per-process
         traces into ``result`` (stats cover every process past its own
         warm-up — the measurement a synchronous host thread observes)."""
         host = ParallelHost(self.device, os_overhead_usec=self.os_overhead_usec)
-        generators = [PatternGenerator(spec, start_at=at) for spec in process_specs]
-        if self.columnar:
-            traces = host.run_programs(
-                [generator.program() for generator in generators], start_at=at
-            )
-        else:
-            traces = []
-            for completions in host.run(generators, start_at=at):
-                trace = IOTrace(capacity=len(completions))
-                trace.extend(completions)
-                traces.append(trace)
+        traces = host.run_programs(
+            [PatternGenerator(spec).program() for spec in process_specs],
+            start_at=at,
+        )
         measured_chunks = []
         for process_spec, trace in zip(process_specs, traces):
             responses = trace.response_times()
@@ -289,7 +256,7 @@ def reseed(spec: Any, bump: int) -> Any:
 
 @Engine.executor(PatternSpec)
 def _execute_pattern(engine: Engine, spec: PatternSpec, at: float) -> Run:
-    trace = engine._trace_sync(PatternGenerator(spec, start_at=at), at)
+    trace = engine._trace(PatternGenerator(spec).program(), at)
     stats = summarize(trace.response_times(), spec.io_ignore)
     return Run(spec=spec, trace=trace, stats=stats)
 
@@ -298,14 +265,14 @@ def _execute_pattern(engine: Engine, spec: PatternSpec, at: float) -> Run:
 def _execute_mix(engine: Engine, spec: MixSpec, at: float) -> MixRun:
     # the warm-up cut (io_ignore) is applied on the mix-level index, as
     # the FlashIO tool scales it for mixed workloads (Section 5.1)
-    generator = MixGenerator(spec, start_at=at)
-    trace = engine._trace_sync(generator, at)
+    program = MixGenerator(spec).program()
+    trace = engine._trace(program, at)
     responses = np.asarray(trace.response_times())
     stats = summarize(responses, spec.io_ignore)
     # boolean-mask the component schedule instead of a Python loop; a
     # component with no IOs past the warm-up cut reports None (it must
     # not silently inherit the overall stats)
-    which = generator.components_array
+    which = program.components
     measured = np.arange(len(which)) >= spec.io_ignore
     primary = responses[measured & (which == 0)]
     secondary = responses[measured & (which == 1)]

@@ -6,10 +6,10 @@ pattern cannot be fully materialised up front — the feedback step is
 irreducibly per-IO.  Everything *else* is not: the random slot draws,
 the LBA formula and the inter-IO gaps depend only on the index, so the
 generators pre-draw the whole run in one batch at construction and
-expose the result as an :class:`IOProgram` of columns.  The hosts'
-program runners consume those columns directly; the legacy per-request
-protocol (:data:`~repro.flashsim.host.RequestFeed`) keeps working on
-top of the same precomputed values, so both paths see identical IOs.
+expose the result as an :class:`IOProgram` of columns, which the hosts'
+program runners consume directly.  :class:`PatternGenerator` also
+yields the same IOs one request at a time, for callers that decide
+after every IO whether to continue (adaptive IO counts).
 
 The RNG is ``random.Random(seed)`` exactly as before — pre-drawing
 consumes the same stream in the same order, so every simulated
@@ -121,10 +121,8 @@ class MixGenerator:
     would make the Ratio parameter no longer the single varying factor).
     """
 
-    def __init__(self, spec: MixSpec, start_at: float = 0.0) -> None:
+    def __init__(self, spec: MixSpec) -> None:
         self.spec = spec
-        self.start_at = start_at
-        self._index = 0
         count = spec.io_count
         indexes = np.arange(count, dtype=np.int64)
         which = (indexes % (spec.ratio + 1) == spec.ratio).astype(np.int8)
@@ -139,8 +137,7 @@ class MixGenerator:
             )
             draws = None
             if component.location is LocationKind.RANDOM:
-                # one draw per occurrence, wrap or not — exactly the
-                # stream the per-request path consumed lazily
+                # one draw per occurrence, wrap or not
                 draws = np.array(
                     _pre_draw(component.seed, component.slots, occurrences),
                     dtype=np.int64,
@@ -156,39 +153,7 @@ class MixGenerator:
             components=which,
             queue_depth=spec.queue_depth,
         )
-        self._lbas = lbas.tolist()
-        self._sizes = sizes.tolist()
-        self._modes = [
-            Mode.WRITE if write else Mode.READ for write in writes.tolist()
-        ]
-        self._which = which.tolist()
-        #: which component produced each issued IO, in order (the runner
-        #: splits statistics per component with this)
-        self.component_log: list[int] = []
 
     def program(self) -> IOProgram:
         """The precomputed columns of the whole mix run."""
         return self._program
-
-    @property
-    def components_array(self) -> np.ndarray:
-        """Issuing component per mix index (0=primary, 1=secondary),
-        for the entire run regardless of how many IOs were issued."""
-        assert self._program.components is not None
-        return self._program.components
-
-    def __call__(self, previous: CompletedIO | None) -> IORequest | None:
-        if self._index >= self.spec.io_count:
-            return None
-        index = self._index
-        self._index += 1
-        scheduled = self.start_at if previous is None else previous.completed_at
-        request = IORequest(
-            index=index,
-            lba=self._lbas[index],
-            size=self._sizes[index],
-            mode=self._modes[index],
-            scheduled_at=scheduled,
-        )
-        self.component_log.append(self._which[index])
-        return request

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.engine import Engine
 from repro.core.patterns import LocationKind, PatternSpec
-from repro.core.runner import execute
 from repro.flashsim.device import FlashDevice
 from repro.iotypes import Mode
 from repro.units import KIB, SEC
@@ -87,9 +87,10 @@ def determine_pause(
         io_count=reads_after,
         **common,
     )
-    before = execute(device, sr_before).trace.response_times()
-    writes = execute(device, rw_batch).trace.response_times()
-    after_run = execute(device, sr_after)
+    engine = Engine(device)
+    before = engine.run(sr_before).trace.response_times()
+    writes = engine.run(rw_batch).trace.response_times()
+    after_run = engine.run(sr_after)
     after = after_run.trace.response_times()
 
     baseline = float(np.mean(before))

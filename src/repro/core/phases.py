@@ -23,8 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.engine import Engine
 from repro.core.patterns import PatternSpec
-from repro.core.runner import execute
 from repro.errors import AnalysisError
 from repro.flashsim.device import FlashDevice
 
@@ -164,6 +164,6 @@ def measure_phases(
     for label, spec in baseline_specs.items():
         run_spec = spec if io_count is None else spec.with_(io_count=io_count)
         with obs_tracing.span("phase-baseline", cat="phases", label=label):
-            run = execute(device, run_spec)
+            run = Engine(device).run(run_spec)
             analyses[label] = detect_phases(run.trace.response_times())
     return PhaseProfile(analyses=analyses)

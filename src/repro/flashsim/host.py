@@ -28,19 +28,14 @@ file system and disk scheduler cannot reorder or coalesce them
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.flashsim import analytic
 from repro.flashsim.device import FlashDevice
 from repro.flashsim.trace import IOTrace
-from repro.iotypes import CompletedIO, IORequest
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.core.generator import IOProgram
-
-#: a pattern feed: given the previous completion (None at the start),
-#: yields the next request or None when the pattern is exhausted.
-RequestFeed = Callable[[CompletedIO | None], IORequest | None]
 
 
 @dataclass
@@ -50,32 +45,17 @@ class SyncHost:
     device: FlashDevice
     os_overhead_usec: float = 0.0
 
-    def run(self, feed: RequestFeed, start_at: float = 0.0) -> list[CompletedIO]:
-        """Drive a feed to exhaustion; returns completions in order."""
-        completions: list[CompletedIO] = []
-        previous: CompletedIO | None = None
-        clock = start_at
-        while True:
-            request = feed(previous)
-            if request is None:
-                break
-            submit_at = max(clock, request.scheduled_at)
-            completed = self.device.submit(request, submit_at + self.os_overhead_usec)
-            completions.append(completed)
-            clock = completed.completed_at
-            previous = completed
-        return completions
-
     def run_program(
         self, program: "IOProgram", start_at: float = 0.0
     ) -> IOTrace:
         """Drive a precomputed :class:`~repro.core.generator.IOProgram`.
 
-        The columnar equivalent of :meth:`run`: the loop keeps only the
-        irreducible feedback step (``t(IOi)`` depends on ``rt(IOi-1)``,
-        Table 1) and records each IO straight into a columnar
+        The loop keeps only the irreducible feedback step (``t(IOi)``
+        depends on ``rt(IOi-1)``, Table 1: the first IO submits at
+        ``start_at``, IO *i* at the previous completion plus its gap)
+        and records each IO straight into a columnar
         :class:`~repro.flashsim.trace.IOTrace` — no request/completion
-        objects.  Timing semantics are identical to :meth:`run`.
+        objects.
 
         Back-to-back (zero-gap, zero-overhead) programs on qualifying
         devices first try the closed-form run kernels
@@ -191,16 +171,6 @@ class AsyncHost:
         return trace
 
 
-@dataclass
-class _Process:
-    """One concurrent pattern stream inside :class:`ParallelHost`."""
-
-    feed: RequestFeed
-    next_request: IORequest | None
-    completions: list[CompletedIO]
-    blocked_until: float
-
-
 class ParallelHost:
     """``ParallelDegree`` processes issuing synchronous IO concurrently.
 
@@ -217,52 +187,13 @@ class ParallelHost:
         self.device = device
         self.os_overhead_usec = os_overhead_usec
 
-    def run(
-        self, feeds: Sequence[RequestFeed], start_at: float = 0.0
-    ) -> list[list[CompletedIO]]:
-        """Run all feeds concurrently; returns per-process completions."""
-        processes = []
-        for feed in feeds:
-            first = feed(None)
-            processes.append(
-                _Process(
-                    feed=feed,
-                    next_request=first,
-                    completions=[],
-                    blocked_until=start_at,
-                )
-            )
-        while True:
-            best: _Process | None = None
-            best_time = float("inf")
-            for process in processes:
-                if process.next_request is None:
-                    continue
-                ready_at = max(
-                    process.blocked_until, process.next_request.scheduled_at
-                )
-                if ready_at < best_time:
-                    best_time = ready_at
-                    best = process
-            if best is None:
-                return [process.completions for process in processes]
-            request = best.next_request
-            assert request is not None
-            completed = self.device.submit(
-                request, best_time + self.os_overhead_usec
-            )
-            best.completions.append(completed)
-            best.blocked_until = completed.completed_at
-            best.next_request = best.feed(completed)
-
     def run_programs(
         self, programs: Sequence["IOProgram"], start_at: float = 0.0
     ) -> list[IOTrace]:
         """Drive precomputed programs concurrently, one per process.
 
-        The columnar equivalent of :meth:`run`: same event loop, same
-        earliest-submission scan with lowest-index tie-break, but each
-        IO is recorded straight into that process's columnar trace.
+        Each IO is recorded straight into that process's columnar
+        trace; returns the traces in process order.
         """
         states = [_ProgramState(program, start_at) for program in programs]
         submit_into = self.device.submit_into
@@ -310,12 +241,3 @@ class _ProgramState:
         self.scheduled = start_at
         self.trace = IOTrace(capacity=self.count)
 
-
-def feed_from_iterable(requests: Sequence[IORequest]) -> RequestFeed:
-    """Adapt a pre-built request list into a feed (ignores feedback)."""
-    iterator: Iterator[IORequest] = iter(requests)
-
-    def feed(_previous: CompletedIO | None) -> IORequest | None:
-        return next(iterator, None)
-
-    return feed

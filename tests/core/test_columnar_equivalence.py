@@ -1,17 +1,18 @@
-"""Columnar/legacy equivalence: the columnar pipeline must be invisible.
+"""Host-loop oracle: columnar recording must equal the per-IO reference.
 
-The engine's default recording pipeline (``Engine(columnar=True)``)
-drives the hosts' program runners, which record scalars straight into
-column-backed :class:`~repro.flashsim.trace.IOTrace` storage; the
-legacy path (``columnar=False``) builds one :class:`IORequest` and one
-:class:`CompletedIO` per IO through the request-feed protocol.  The
-columnar path is a pure performance optimisation: for every registered
-spec kind it must produce bit-identical run statistics, byte-identical
-trace CSV, identical per-row views and identical final device state
-(``fingerprint``) on every profile.
+The engine records every run through the hosts' program runners, which
+write scalars straight into column-backed
+:class:`~repro.flashsim.trace.IOTrace` storage (and hand back-to-back
+programs to the closed-form kernels first).  This suite pins that
+pipeline against a *legacy* reference written out here in a few lines:
+one :class:`IORequest` per IO through the per-IO oracle
+:meth:`FlashDevice.submit`, submit times from the Table-1 recurrence
+``t(IOi) = t(IOi-1) + rt(IOi-1) + gap`` (Section 4.3), and for parallel
+specs the earliest-submission scan with lowest-index tie-break.
 
-Each case builds two fresh devices of the same profile, runs the same
-spec through both engines and pins all four equivalences.
+For every spec kind, :meth:`Engine.run` must produce bit-identical run
+statistics, byte-identical trace CSV, identical per-row views and
+identical final device state (``fingerprint``) on every profile.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro.core.engine import Engine
+from repro.core.generator import MixGenerator, PatternGenerator
 from repro.core.patterns import (
     LocationKind,
     MixSpec,
@@ -29,8 +31,10 @@ from repro.core.patterns import (
     TimingKind,
     baselines,
 )
+from repro.core.stats import summarize
 from repro.flashsim.profiles import build_device
-from repro.iotypes import Mode
+from repro.flashsim.trace import IOTrace
+from repro.iotypes import IORequest, Mode
 from repro.units import KIB, MIB
 
 PROFILES = ("memoright", "kingston_dti")
@@ -38,11 +42,57 @@ PROFILES = ("memoright", "kingston_dti")
 BASELINE_KINDS = ("SR", "RR", "SW", "RW")
 
 
-def _engine_pair(profile: str) -> tuple[Engine, Engine]:
-    """Two engines over identical fresh devices: columnar and legacy."""
-    columnar = Engine(build_device(profile, logical_bytes=4 * MIB), columnar=True)
-    legacy = Engine(build_device(profile, logical_bytes=4 * MIB), columnar=False)
-    return columnar, legacy
+def _request(program, i: int, scheduled: float) -> IORequest:
+    mode = Mode.WRITE if program.writes[i] else Mode.READ
+    return IORequest(
+        i, int(program.lbas[i]), int(program.sizes[i]), mode, scheduled
+    )
+
+
+def _reference_sync(device, program, start_at: float) -> IOTrace:
+    """One synchronous process: each IO waits for the previous one."""
+    trace = IOTrace()
+    clock = start_at
+    for i in range(len(program)):
+        scheduled = start_at if i == 0 else clock + float(program.gaps[i])
+        completed = device.submit(_request(program, i, scheduled), scheduled)
+        trace.append(completed)
+        clock = completed.completed_at
+    return trace
+
+
+def _reference_parallel(device, programs, start_at: float) -> list[IOTrace]:
+    """Concurrent synchronous processes on the single device queue: the
+    process whose next IO can submit earliest goes first, ties to the
+    lowest process index."""
+    traces = [IOTrace() for _ in programs]
+    position = [0] * len(programs)
+    blocked = [start_at] * len(programs)
+    scheduled = [start_at] * len(programs)
+    while True:
+        best, best_time = None, float("inf")
+        for p, program in enumerate(programs):
+            if position[p] < len(program):
+                ready = max(blocked[p], scheduled[p])
+                if ready < best_time:
+                    best, best_time = p, ready
+        if best is None:
+            return traces
+        program, i = programs[best], position[best]
+        completed = device.submit(_request(program, i, scheduled[best]), best_time)
+        traces[best].append(completed)
+        blocked[best] = completed.completed_at
+        position[best] = i + 1
+        if i + 1 < len(program):
+            scheduled[best] = completed.completed_at + float(program.gaps[i + 1])
+
+
+def _device_pair(profile: str):
+    """Two identical fresh devices: one for the engine, one for the oracle."""
+    return (
+        build_device(profile, logical_bytes=4 * MIB),
+        build_device(profile, logical_bytes=4 * MIB),
+    )
 
 
 def _assert_traces_identical(trace_a, trace_b) -> None:
@@ -53,19 +103,48 @@ def _assert_traces_identical(trace_a, trace_b) -> None:
     assert list(trace_a) == list(trace_b)
 
 
-def _assert_runs_identical(run_a, run_b) -> None:
-    assert run_a.stats == run_b.stats
-    _assert_traces_identical(run_a.trace, run_b.trace)
+def _check_pattern(profile: str, spec: PatternSpec):
+    """Run ``spec`` through the engine and the oracle; returns the run."""
+    device, oracle = _device_pair(profile)
+    run = Engine(device).run(spec)
+    reference = _reference_sync(
+        oracle, PatternGenerator(spec).program(), oracle.busy_until
+    )
+    _assert_traces_identical(run.trace, reference)
+    assert run.stats == summarize(reference.response_times(), spec.io_ignore)
+    assert device.fingerprint() == oracle.fingerprint()
+    return run, reference
+
+
+def _check_parallel(profile: str, spec, process_specs) -> None:
+    device, oracle = _device_pair(profile)
+    run = Engine(device).run(spec)
+    references = _reference_parallel(
+        oracle,
+        [PatternGenerator(s).program() for s in process_specs],
+        oracle.busy_until,
+    )
+    assert len(run.runs) == len(references)
+    for sub, process_spec, reference in zip(run.runs, process_specs, references):
+        _assert_traces_identical(sub.trace, reference)
+        assert sub.stats == summarize(
+            reference.response_times(), process_spec.io_ignore
+        )
+    merged = np.concatenate(
+        [
+            reference.response_times()[process_spec.io_ignore:]
+            for process_spec, reference in zip(process_specs, references)
+        ]
+    )
+    assert run.stats == summarize(merged)
+    assert device.fingerprint() == oracle.fingerprint()
 
 
 @pytest.mark.parametrize("profile", PROFILES)
 @pytest.mark.parametrize("kind", BASELINE_KINDS)
 def test_baselines_columnar_legacy_identical(profile, kind):
     """SR/RR/SW/RW: same stats, CSV bytes, rows and device state."""
-    spec = baselines(io_size=16 * KIB, io_count=64)[kind]
-    columnar, legacy = _engine_pair(profile)
-    _assert_runs_identical(columnar.run(spec), legacy.run(spec))
-    assert columnar.device.fingerprint() == legacy.device.fingerprint()
+    _check_pattern(profile, baselines(io_size=16 * KIB, io_count=64)[kind])
 
 
 @pytest.mark.parametrize("profile", PROFILES)
@@ -82,9 +161,7 @@ def test_timed_patterns_columnar_legacy_identical(profile, timing):
         pause_usec=750.0,
         burst=4 if timing is TimingKind.BURST else 0,
     )
-    columnar, legacy = _engine_pair(profile)
-    _assert_runs_identical(columnar.run(spec), legacy.run(spec))
-    assert columnar.device.fingerprint() == legacy.device.fingerprint()
+    _check_pattern(profile, spec)
 
 
 @pytest.mark.parametrize("profile", PROFILES)
@@ -108,12 +185,23 @@ def test_mix_columnar_legacy_identical(profile):
     spec = MixSpec(
         primary=primary, secondary=secondary, ratio=3, io_count=48, io_ignore=8
     )
-    columnar, legacy = _engine_pair(profile)
-    run_a, run_b = columnar.run(spec), legacy.run(spec)
-    _assert_runs_identical(run_a, run_b)
-    assert run_a.primary_stats == run_b.primary_stats
-    assert run_a.secondary_stats == run_b.secondary_stats
-    assert columnar.device.fingerprint() == legacy.device.fingerprint()
+    device, oracle = _device_pair(profile)
+    run = Engine(device).run(spec)
+    reference = _reference_sync(
+        oracle, MixGenerator(spec).program(), oracle.busy_until
+    )
+    _assert_traces_identical(run.trace, reference)
+    responses = reference.response_times()
+    assert run.stats == summarize(responses, spec.io_ignore)
+    # every (ratio+1)-th IO is the secondary's
+    measured = range(spec.io_ignore, spec.io_count)
+    for secondary, stats in ((False, run.primary_stats), (True, run.secondary_stats)):
+        component = [
+            responses[i] for i in measured
+            if (i % (spec.ratio + 1) == spec.ratio) == secondary
+        ]
+        assert stats == summarize(np.asarray(component))
+    assert device.fingerprint() == oracle.fingerprint()
 
 
 @pytest.mark.parametrize("profile", PROFILES)
@@ -127,13 +215,7 @@ def test_parallel_columnar_legacy_identical(profile):
         target_size=48 * 16 * KIB,
     )
     spec = ParallelSpec(base=base, parallel_degree=3)
-    columnar, legacy = _engine_pair(profile)
-    run_a, run_b = columnar.run(spec), legacy.run(spec)
-    assert run_a.stats == run_b.stats
-    assert len(run_a.runs) == len(run_b.runs)
-    for sub_a, sub_b in zip(run_a.runs, run_b.runs):
-        _assert_runs_identical(sub_a, sub_b)
-    assert columnar.device.fingerprint() == legacy.device.fingerprint()
+    _check_parallel(profile, spec, spec.process_specs())
 
 
 @pytest.mark.parametrize("profile", PROFILES)
@@ -155,18 +237,12 @@ def test_parallel_mix_columnar_legacy_identical(profile):
         target_size=1 * MIB,
     )
     spec = ParallelMixSpec((reads, writes))
-    columnar, legacy = _engine_pair(profile)
-    run_a, run_b = columnar.run(spec), legacy.run(spec)
-    assert run_a.stats == run_b.stats
-    for sub_a, sub_b in zip(run_a.runs, run_b.runs):
-        _assert_runs_identical(sub_a, sub_b)
-    assert columnar.device.fingerprint() == legacy.device.fingerprint()
+    _check_parallel(profile, spec, spec.components)
 
 
 def test_restat_matches_on_columnar_trace():
     """Phase re-analysis cuts the cached response array identically."""
     spec = baselines(io_size=16 * KIB, io_count=64)["RW"]
-    columnar, legacy = _engine_pair("memoright")
-    run_a, run_b = columnar.run(spec), legacy.run(spec)
+    run, reference = _check_pattern("memoright", spec)
     for cut in (0, 8, 32, 63):
-        assert run_a.restat(cut) == run_b.restat(cut)
+        assert run.restat(cut) == summarize(reference.response_times(), cut)

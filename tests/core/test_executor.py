@@ -13,6 +13,7 @@ from repro.core.executor import (
     results_by_experiment,
     run_cell,
 )
+from repro.core.methodology import StatePool
 from repro.errors import ExperimentError
 from repro.units import KIB, MIB, SEC
 
@@ -41,6 +42,15 @@ def test_plan_cells_enumerates_one_cell_per_experiment():
 def test_executor_rejects_nonpositive_jobs():
     with pytest.raises(ExperimentError):
         CampaignExecutor(jobs=0)
+
+
+def test_executor_enforces_into_a_caller_supplied_empty_pool():
+    # an empty pool is falsy (StatePool.__len__): it must still be used
+    pool = StatePool()
+    executor = CampaignExecutor(state_pool=pool)
+    executor.prepare(PROFILE, CAPACITY)
+    assert pool.misses == 1
+    assert len(pool) == 1
 
 
 def test_run_cell_rejects_unknown_experiment():
@@ -113,8 +123,6 @@ def test_keep_traces_round_trips_through_cache(tmp_path):
     assert all(payload_has_traces(outcome.payload) for outcome in ran)
     rows = ran[0].result().rows
     assert rows[0].traces and len(rows[0].traces[0]) == cells[0].io_count
-    # the cache credited the columnar format's pickle saving
-    assert first.cache.trace_bytes_saved > 0
 
     second = CampaignExecutor(jobs=1, cache=tmp_path / "cache", keep_traces=True)
     served = second.execute(cells)

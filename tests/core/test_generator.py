@@ -123,12 +123,12 @@ def test_mix_generator_interleaves_by_ratio():
         target_offset=4 * MIB,
     )
     spec = MixSpec(primary=primary, secondary=secondary, ratio=3, io_count=12)
-    generator = MixGenerator(spec)
-    requests = drive(generator)
-    assert len(requests) == 12
-    modes = [r.mode for r in requests]
-    assert modes.count(Mode.WRITE) == 3  # one per group of four
-    assert generator.component_log == [0, 0, 0, 1] * 3
+    program = MixGenerator(spec).program()
+    assert len(program) == 12
+    assert program.writes.tolist() == [False, False, False, True] * 3
+    assert program.components.tolist() == [0, 0, 0, 1] * 3
+    # the mix's timing is consecutive
+    assert program.gaps.tolist() == [0.0] * 12
 
 
 def test_mix_components_advance_independently():
@@ -143,9 +143,9 @@ def test_mix_components_advance_independently():
         target_offset=4 * MIB,
     )
     spec = MixSpec(primary=primary, secondary=secondary, ratio=1, io_count=8)
-    requests = drive(MixGenerator(spec))
-    reads = [r.lba for r in requests if r.mode is Mode.READ]
-    writes = [r.lba for r in requests if r.mode is Mode.WRITE]
+    program = MixGenerator(spec).program()
+    reads = program.lbas[~program.writes].tolist()
+    writes = program.lbas[program.writes].tolist()
     assert reads == [0, 32 * KIB, 64 * KIB, 96 * KIB]
     assert writes == [4 * MIB + i * 32 * KIB for i in range(4)]
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.engine import Engine
 from repro.core.patterns import LocationKind, PatternSpec
 from repro.core.replay import (
     ReplayMode,
@@ -9,7 +10,6 @@ from repro.core.replay import (
     replay,
     replay_csv,
 )
-from repro.core.runner import execute
 from repro.errors import AnalysisError
 from repro.flashsim.timing import TimingSpec
 from repro.flashsim.trace import IOTrace
@@ -29,7 +29,7 @@ def capture_trace(device=None, io_count=24, timing=None):
         target_size=512 * KIB,
         seed=4,
     )
-    run = execute(device, spec)
+    run = Engine(device).run(spec)
     return IOTrace.parse_csv(run.trace.to_csv())
 
 
@@ -116,7 +116,7 @@ def test_replay_csv_round_trip(tmp_path):
         target_size=512 * KIB,
         seed=9,
     )
-    run = execute(device, spec)
+    run = Engine(device).run(spec)
     run.trace.to_csv(path)
     result = replay_csv(make_device(), path)
     assert result.stats.count == 12

@@ -1,18 +1,14 @@
-"""Runner: execution of basic, mixed and parallel patterns on a device."""
+"""Engine runs: execution of basic, mixed and parallel patterns on a device."""
 
 import pytest
 
+from repro.core.engine import Engine, rest_device
 from repro.core.patterns import (
     LocationKind,
     MixSpec,
+    ParallelMixSpec,
     ParallelSpec,
     PatternSpec,
-)
-from repro.core.runner import (
-    execute,
-    execute_mix,
-    execute_parallel,
-    rest_device,
 )
 from repro.iotypes import Mode
 from repro.units import KIB, MIB
@@ -33,7 +29,7 @@ def sw_spec(io_count=16, **kwargs):
 
 def test_execute_produces_full_trace_and_stats():
     device = make_device()
-    run = execute(device, sw_spec())
+    run = Engine(device).run(sw_spec())
     assert len(run.trace) == 16
     assert run.stats.count == 16
     assert run.label == "SW"
@@ -42,28 +38,28 @@ def test_execute_produces_full_trace_and_stats():
 
 def test_execute_applies_io_ignore():
     device = make_device()
-    run = execute(device, sw_spec(io_count=16, io_ignore=4))
+    run = Engine(device).run(sw_spec(io_count=16, io_ignore=4))
     assert run.stats.ignored == 4
     assert run.stats.count == 12
 
 
 def test_restat_changes_the_cut():
     device = make_device()
-    run = execute(device, sw_spec())
+    run = Engine(device).run(sw_spec())
     again = run.restat(io_ignore=8)
     assert again.count == 8
 
 
 def test_runs_follow_each_other_in_simulated_time():
     device = make_device()
-    first = execute(device, sw_spec())
-    second = execute(device, sw_spec(target_offset=512 * KIB))
+    first = Engine(device).run(sw_spec())
+    second = Engine(device).run(sw_spec(target_offset=512 * KIB))
     assert second.trace[0].submitted_at >= first.trace[-1].completed_at
 
 
 def test_rest_device_advances_time_and_flushes_cache():
     device = make_device(cache_bytes=32 * 2 * KIB)
-    execute(device, sw_spec(io_count=8))
+    Engine(device).run(sw_spec(io_count=8))
     assert device.controller.cache.dirty_pages > 0
     horizon = device.busy_until
     rest_device(device, 1_000_000.0)
@@ -79,7 +75,7 @@ def test_execute_mix_splits_component_stats():
     )
     secondary = sw_spec(io_count=16, target_offset=512 * KIB)
     mix = MixSpec(primary=primary, secondary=secondary, ratio=3, io_count=32)
-    result = execute_mix(device, mix)
+    result = Engine(device).run(mix)
     assert result.stats.count == 32
     assert result.primary_stats.count == 24
     assert result.secondary_stats.count == 8
@@ -96,7 +92,7 @@ def test_execute_mix_respects_ignore():
     mix = MixSpec(
         primary=primary, secondary=secondary, ratio=1, io_count=16, io_ignore=8
     )
-    result = execute_mix(device, mix)
+    result = Engine(device).run(mix)
     assert result.stats.ignored == 8
     assert result.primary_stats.count + result.secondary_stats.count == 8
 
@@ -104,7 +100,7 @@ def test_execute_mix_respects_ignore():
 def test_execute_parallel_runs_all_processes():
     device = make_device()
     base = sw_spec(io_count=16, target_size=16 * 16 * KIB)
-    result = execute_parallel(device, ParallelSpec(base=base, parallel_degree=4))
+    result = Engine(device).run(ParallelSpec(base=base, parallel_degree=4))
     assert len(result.runs) == 4
     assert all(len(run.trace) == 4 for run in result.runs)
     assert result.stats is not None
@@ -115,25 +111,22 @@ def test_execute_parallel_runs_all_processes():
 def test_parallel_degree_one_equals_sync():
     parallel_device = make_device()
     base = sw_spec(io_count=16)
-    parallel = execute_parallel(
-        parallel_device, ParallelSpec(base=base, parallel_degree=1)
+    parallel = Engine(parallel_device).run(
+        ParallelSpec(base=base, parallel_degree=1)
     )
     sync_device = make_device()
-    solo = execute(sync_device, base)
+    solo = Engine(sync_device).run(base)
     assert parallel.stats.mean_usec == pytest.approx(solo.stats.mean_usec)
 
 
 def test_parallel_mix_runs_distinct_patterns_concurrently():
-    from repro.core.patterns import ParallelMixSpec
-    from repro.core.runner import execute_parallel_mix
-
     device = make_device()
     reads = PatternSpec(
         mode=Mode.READ, location=LocationKind.SEQUENTIAL, io_size=16 * KIB,
         io_count=12,
     )
     writes = sw_spec(io_count=12, target_offset=512 * KIB)
-    result = execute_parallel_mix(device, ParallelMixSpec((reads, writes)))
+    result = Engine(device).run(ParallelMixSpec((reads, writes)))
     assert len(result.runs) == 2
     assert result.runs[0].spec.mode is Mode.READ
     assert result.runs[1].spec.mode is Mode.WRITE
@@ -149,7 +142,6 @@ def test_parallel_mix_runs_distinct_patterns_concurrently():
 
 
 def test_parallel_mix_requires_disjoint_components():
-    from repro.core.patterns import ParallelMixSpec
     from repro.errors import PatternError
 
     overlapping = sw_spec(io_count=12)
@@ -173,7 +165,7 @@ def test_mix_component_without_measured_ios_has_none_stats():
     mix = MixSpec(
         primary=primary, secondary=secondary, ratio=7, io_count=15, io_ignore=8
     )
-    result = execute_mix(device, mix)
+    result = Engine(device).run(mix)
     assert result.secondary_stats is None
     assert result.primary_stats is not None
     assert result.primary_stats.count == 7

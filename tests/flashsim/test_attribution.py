@@ -5,8 +5,8 @@ integer components of every IO sum *exactly* to the rounded response
 time — not approximately, not on average.  This suite pins that across
 the same equivalence axes the performance suites use: all four FTL
 families, calibrated profiles (with measurement noise), the write-back
-cache, sync vs queued hosts at depth 1, columnar vs legacy recording,
-and scalar vs batch kernels — plus the float-residual oracle, the
+cache, sync vs queued hosts at depth 1, columnar vs per-IO object
+recording, and scalar vs batch kernels — plus the float-residual oracle, the
 apportionment edge cases, trace round-trips and the recorder's
 pure-observability guarantee (a device with a recorder attached must
 evolve bit-identically to one without).
@@ -34,6 +34,7 @@ from repro.flashsim.recorder import (
     unattributed_usec,
 )
 from repro.flashsim.timing import CostAccumulator, TimingSpec
+from repro.flashsim.trace import IOTrace
 from repro.units import KIB, MIB
 
 from ..conftest import SMALL_GEOMETRY, make_device
@@ -212,17 +213,24 @@ def test_sync_async_depth1_attribution_identical(ftl_kind, kind):
 
 @pytest.mark.parametrize("profile", ("memoright", "kingston_dti"))
 def test_columnar_legacy_attribution_identical(profile):
+    """The engine's columnar recording and per-IO ``FlashDevice.submit``
+    completions appended to a trace carry the same attribution."""
     spec = baselines(io_size=16 * KIB, io_count=64)["RW"]
-    traces = []
-    for columnar in (True, False):
-        device = build_device(profile, logical_bytes=4 * MIB)
-        device.attach_recorder(FlightRecorder())
-        run = Engine(device, columnar=columnar).run(spec)
-        _assert_trace_balanced(run.trace)
-        traces.append(run.trace)
-    assert np.array_equal(
-        traces[0].attribution_matrix(), traces[1].attribution_matrix()
+    columnar_device, legacy_device = (
+        build_device(profile, logical_bytes=4 * MIB) for _ in range(2)
     )
+    columnar_device.attach_recorder(FlightRecorder())
+    legacy_device.attach_recorder(FlightRecorder())
+    columnar = Engine(columnar_device).run(spec).trace
+    legacy = IOTrace()
+    generator = PatternGenerator(spec)
+    completed = None
+    while (request := generator(completed)) is not None:
+        completed = legacy_device.submit(request, request.scheduled_at)
+        legacy.append(completed)
+    _assert_trace_balanced(columnar)
+    _assert_trace_balanced(legacy)
+    assert np.array_equal(columnar.attribution_matrix(), legacy.attribution_matrix())
 
 
 @pytest.mark.parametrize("ftl_kind", FTL_KINDS)
@@ -367,8 +375,6 @@ def test_recorder_off_trace_has_no_attribution():
 
 
 def test_trace_payload_round_trips_attribution():
-    from repro.flashsim.trace import IOTrace
-
     _, trace, _ = _traced_pair(_small_spec())
     payload = trace.to_payload()
     assert "attribution" in payload

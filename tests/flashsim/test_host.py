@@ -1,61 +1,67 @@
 """Host models: synchronous feedback-driven submission, parallel event
 loop, serialization on the single device queue."""
 
+import numpy as np
 import pytest
 
-from repro.flashsim.host import ParallelHost, SyncHost, feed_from_iterable
-from repro.iotypes import IORequest, Mode
+from repro.core.generator import IOProgram
+from repro.flashsim.host import ParallelHost, SyncHost
 from repro.units import KIB
 
 from tests.conftest import make_device
 
 
-def requests(count, stride=8 * KIB, mode=Mode.WRITE, start=0):
-    return [
-        IORequest(i, start + i * stride, 8 * KIB, mode, 0.0) for i in range(count)
-    ]
+def program(count, stride=8 * KIB, write=True, start=0, gaps=None):
+    """``count`` 8 KiB IOs at ``start + i * stride``, back to back unless
+    ``gaps`` says otherwise."""
+    return IOProgram(
+        lbas=start + np.arange(count, dtype=np.int64) * stride,
+        sizes=np.full(count, 8 * KIB, dtype=np.int64),
+        writes=np.full(count, write, dtype=np.bool_),
+        gaps=np.asarray(gaps if gaps is not None else np.zeros(count), dtype=float),
+    )
+
+
+def two_processes():
+    return [program(4, start=0), program(4, start=256 * KIB)]
 
 
 def test_sync_host_runs_feed_to_exhaustion():
     device = make_device()
-    host = SyncHost(device)
-    completions = host.run(feed_from_iterable(requests(5)))
-    assert len(completions) == 5
+    trace = SyncHost(device).run_program(program(5))
+    assert len(trace) == 5
     # consecutive: each IO starts when the previous completes
-    for earlier, later in zip(completions, completions[1:]):
+    for earlier, later in zip(trace, list(trace)[1:]):
         assert later.started_at >= earlier.completed_at
 
 
 def test_sync_host_os_overhead_delays_submission():
     no_overhead = make_device()
-    completions = SyncHost(no_overhead).run(feed_from_iterable(requests(3)))
-    base_end = completions[-1].completed_at
+    base_end = SyncHost(no_overhead).run_program(program(3))[-1].completed_at
     with_overhead = make_device()
     host = SyncHost(with_overhead, os_overhead_usec=100.0)
-    delayed = host.run(feed_from_iterable(requests(3)))
+    delayed = host.run_program(program(3))
     assert delayed[-1].completed_at == pytest.approx(base_end + 300.0)
 
 
 def test_sync_host_respects_scheduled_times():
     device = make_device()
     host = SyncHost(device)
-    late = [IORequest(0, 0, 8 * KIB, Mode.WRITE, 5_000.0)]
-    completions = host.run(feed_from_iterable(late))
-    assert completions[0].submitted_at >= 5_000.0
+    late = host.run_program(program(1), start_at=5_000.0)
+    assert late[0].submitted_at >= 5_000.0
+    # a gap counts from the previous IO's completion (Table 1)
+    paced = host.run_program(
+        program(2, gaps=[0.0, 5_000.0]), start_at=device.busy_until
+    )
+    assert paced[1].submitted_at == pytest.approx(paced[0].completed_at + 5_000.0)
 
 
 def test_parallel_host_serialises_on_the_device():
     device = make_device()
-    host = ParallelHost(device)
-    feeds = [
-        feed_from_iterable(requests(4, start=0)),
-        feed_from_iterable(requests(4, start=256 * KIB)),
-    ]
-    per_process = host.run(feeds)
-    assert [len(c) for c in per_process] == [4, 4]
+    traces = ParallelHost(device).run_programs(two_processes())
+    assert [len(trace) for trace in traces] == [4, 4]
     everything = sorted(
-        (c for completions in per_process for c in completions),
-        key=lambda c: c.started_at,
+        (row for trace in traces for row in trace), key=lambda row: row.started_at
     )
     # no two IOs overlap in service
     for earlier, later in zip(everything, everything[1:]):
@@ -65,61 +71,27 @@ def test_parallel_host_serialises_on_the_device():
 def test_parallel_host_no_throughput_gain():
     """Hint 7's physics: total time with 2 processes equals the solo
     total — a single queue gains nothing from parallel submission."""
-    solo_device = make_device()
-    solo = SyncHost(solo_device).run(feed_from_iterable(requests(8)))
+    solo = SyncHost(make_device()).run_program(program(8))
     solo_span = solo[-1].completed_at - solo[0].submitted_at
 
-    par_device = make_device()
-    host = ParallelHost(par_device)
-    feeds = [
-        feed_from_iterable(requests(4, start=0)),
-        feed_from_iterable(requests(4, start=256 * KIB)),
-    ]
-    per_process = host.run(feeds)
-    par_end = max(c.completed_at for completions in per_process for c in completions)
+    traces = ParallelHost(make_device()).run_programs(two_processes())
+    par_end = max(row.completed_at for trace in traces for row in trace)
     assert par_end >= solo_span * 0.9
 
 
 def test_parallel_response_times_include_queueing():
-    device = make_device()
-    host = ParallelHost(device)
-    feeds = [
-        feed_from_iterable(requests(4, start=0)),
-        feed_from_iterable(requests(4, start=256 * KIB)),
-    ]
-    per_process = host.run(feeds)
+    traces = ParallelHost(make_device()).run_programs(two_processes())
     queued = [
-        c
-        for completions in per_process
-        for c in completions
-        if c.response_usec > c.service_usec + 1e-9
+        row
+        for trace in traces
+        for row in trace
+        if row.response_usec > row.service_usec + 1e-9
     ]
     assert queued  # someone always waits behind the other process
 
 
-def test_feed_from_iterable_ignores_feedback():
-    feed = feed_from_iterable(requests(2))
-    first = feed(None)
-    second = feed(None)
-    assert (first.index, second.index) == (0, 1)
-    assert feed(None) is None
-
-
 def _identical_programs(processes=3, per_process=4):
-    import numpy as np
-
-    from repro.core.generator import IOProgram
-
-    return [
-        IOProgram(
-            lbas=np.arange(per_process, dtype=np.int64) * 8 * KIB
-            + p * 256 * KIB,
-            sizes=np.full(per_process, 8 * KIB, dtype=np.int64),
-            writes=np.ones(per_process, dtype=np.bool_),
-            gaps=np.zeros(per_process, dtype=np.float64),
-        )
-        for p in range(processes)
-    ]
+    return [program(per_process, start=p * 256 * KIB) for p in range(processes)]
 
 
 def test_parallel_host_run_programs_is_deterministic():

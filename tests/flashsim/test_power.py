@@ -87,12 +87,11 @@ def test_uj_per_mib_efficiency():
 
 def test_measure_run_energy_over_a_device_trace():
     from repro.core.patterns import LocationKind, PatternSpec
-    from repro.core.runner import execute
+    from repro.core.engine import Engine
     from repro.iotypes import Mode
 
     device = make_device()
-    run = execute(
-        device,
+    run = Engine(device).run(
         PatternSpec(
             mode=Mode.WRITE,
             location=LocationKind.SEQUENTIAL,
@@ -104,8 +103,7 @@ def test_measure_run_energy_over_a_device_trace():
     assert meter.ios == 16
     assert meter.total_uj > 0
     # writes cost more energy than the same number of reads
-    read_run = execute(
-        device,
+    read_run = Engine(device).run(
         PatternSpec(
             mode=Mode.READ,
             location=LocationKind.SEQUENTIAL,

@@ -93,7 +93,7 @@ def test_projection_is_workload_sensitive():
     """Sequential overwrites erase less per byte than random writes —
     the projected life under a sequential workload is longer."""
     from repro.core.patterns import LocationKind, PatternSpec
-    from repro.core.runner import execute
+    from repro.core.engine import Engine
     from repro.iotypes import Mode
 
     random_device = make_device()
@@ -114,7 +114,7 @@ def test_projection_is_workload_sensitive():
         io_count=600,
         target_size=seq_device.capacity,
     )
-    run = execute(seq_device, spec)
+    run = Engine(seq_device).run(spec)
     end = run.trace[-1].completed_at
     seq_projection = project_lifetime(
         seq_device, before, wear_report(seq_device), end - start, 600 * 16 * KIB

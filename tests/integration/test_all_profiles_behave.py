@@ -10,7 +10,7 @@ the simulator's invariants hold after a full workout.
 import numpy as np
 import pytest
 
-from repro.core import baselines, detect_phases, enforce_random_state, execute, rest_device
+from repro.core import Engine, baselines, detect_phases, enforce_random_state, rest_device
 from repro.flashsim import build_device, profile_names
 from repro.paperdata import TABLE3
 from repro.units import KIB, MIB, SEC
@@ -31,7 +31,7 @@ def test_profile_flash_shape(name):
     )
     means = {}
     for label in ("SR", "RR", "SW", "RW"):
-        run = execute(device, specs[label])
+        run = Engine(device).run(specs[label])
         responses = np.array(run.trace.response_times())
         cut = detect_phases(responses).startup
         means[label] = float(responses[cut:].mean())

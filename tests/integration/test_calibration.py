@@ -9,7 +9,7 @@ silently de-calibrating a device.
 import numpy as np
 import pytest
 
-from repro.core import baselines, detect_phases, enforce_random_state, execute, rest_device
+from repro.core import Engine, baselines, detect_phases, enforce_random_state, rest_device
 from repro.flashsim import build_device
 from repro.paperdata import PHASES, TABLE3
 from repro.units import KIB, MIB, SEC
@@ -30,7 +30,7 @@ def measure_baselines(name: str) -> dict[str, tuple[float, int]]:
     )
     out = {}
     for label in ("SR", "RR", "SW", "RW"):
-        run = execute(device, specs[label])
+        run = Engine(device).run(specs[label])
         responses = np.array(run.trace.response_times())
         startup = detect_phases(responses).startup
         out[label] = (float(responses[startup:].mean()) / 1000.0, startup)

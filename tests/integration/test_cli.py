@@ -184,7 +184,7 @@ def test_campaign_and_report_subcommands(capsys, tmp_path):
 
 def test_replay_subcommand(capsys, tmp_path):
     # capture a small trace first
-    from repro.core import baselines, execute
+    from repro.core import Engine, baselines
     from repro.flashsim import build_device
     from repro.units import KIB, MIB
 
@@ -193,7 +193,7 @@ def test_replay_subcommand(capsys, tmp_path):
         io_size=32 * KIB, io_count=24,
         random_target_size=source.capacity,
     )["RW"]
-    run = execute(source, spec)
+    run = Engine(source).run(spec)
     trace_path = tmp_path / "trace.csv"
     run.trace.to_csv(trace_path)
 

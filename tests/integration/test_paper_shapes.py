@@ -9,12 +9,10 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    Engine,
     baselines,
     detect_phases,
     enforce_random_state,
-    execute,
-    execute_mix,
-    execute_parallel,
     rest_device,
 )
 from repro.core.patterns import (
@@ -30,7 +28,7 @@ from repro.units import KIB, MIB, SEC
 
 
 def steady_mean(device, spec):
-    run = execute(device, spec)
+    run = Engine(device).run(spec)
     responses = np.array(run.trace.response_times())
     cut = detect_phases(responses).startup
     rest_device(device, 30 * SEC)
@@ -68,7 +66,7 @@ def test_random_write_oscillation(mtron):
     """Figure 3: random writes oscillate between cheap writes and
     expensive reclamation, with a start-up phase on high-end SSDs."""
     specs = specs_for(mtron, io_count=768)
-    run = execute(mtron, specs["RW"])
+    run = Engine(mtron).run(specs["RW"])
     rest_device(mtron, 60 * SEC)
     phases = detect_phases(run.trace.response_times())
     assert phases.has_startup
@@ -80,7 +78,7 @@ def test_underestimated_iocount_distorts_results(mtron):
     """Section 4.2's pitfall: measuring only the start-up phase
     underestimates random-write cost."""
     specs = specs_for(mtron, io_count=768)
-    run = execute(mtron, specs["RW"])
+    run = Engine(mtron).run(specs["RW"])
     rest_device(mtron, 60 * SEC)
     responses = run.trace.response_times()
     startup = detect_phases(responses).startup
@@ -101,7 +99,7 @@ def test_out_of_box_pitfall():
         io_count=256,
         target_size=device.capacity,
     )
-    out_of_box = execute(device, fresh_spec).stats.mean_usec
+    out_of_box = Engine(device).run(fresh_spec).stats.mean_usec
     enforce_random_state(device)
     rest_device(device, 30 * SEC)
     enforced = steady_mean(device, fresh_spec.with_(seed=77, io_count=512))
@@ -163,13 +161,13 @@ def test_pause_saves_no_total_time(mtron):
     """Section 5.2: no true response-time savings — the total workload
     time with pauses is no shorter."""
     specs = specs_for(mtron, io_count=256)
-    plain = execute(mtron, specs["RW"])
+    plain = Engine(mtron).run(specs["RW"])
     plain_span = plain.trace[-1].completed_at - plain.trace[0].submitted_at
     rest_device(mtron, 60 * SEC)
     paused_spec = specs["RW"].with_(
         timing=TimingKind.PAUSE, pause_usec=8_000.0, seed=5
     )
-    paused = execute(mtron, paused_spec)
+    paused = Engine(mtron).run(paused_spec)
     paused_span = paused.trace[-1].completed_at - paused.trace[0].submitted_at
     rest_device(mtron, 60 * SEC)
     assert paused_span >= plain_span * 0.9
@@ -192,8 +190,7 @@ def test_in_place_pathological_on_blockmap():
     # fill the target block completely first (a database page update
     # rewrites a page inside a fully populated block)
     block = device.geometry.block_size
-    execute(
-        device,
+    Engine(device).run(
         PatternSpec(
             mode=Mode.WRITE,
             location=LocationKind.SEQUENTIAL,
@@ -228,8 +225,7 @@ def test_mix_neutrality(mtron):
     )
     sr = steady_mean(mtron, specs["SR"])
     rr = steady_mean(mtron, specs["RR"].with_(target_offset=half))
-    mix = execute_mix(
-        mtron,
+    mix = Engine(mtron).run(
         MixSpec(
             primary=specs["SR"],
             secondary=specs["RR"].with_(target_offset=half),
@@ -252,10 +248,10 @@ def test_parallelism_gains_nothing(mtron):
         io_count=256,
         target_size=(mtron.capacity // (32 * KIB) // 4) * 4 * 32 * KIB,
     )
-    solo = execute(mtron, base)
+    solo = Engine(mtron).run(base)
     solo_span = solo.trace[-1].completed_at - solo.trace[0].submitted_at
     rest_device(mtron, 30 * SEC)
-    par = execute_parallel(mtron, ParallelSpec(base=base, parallel_degree=4))
+    par = Engine(mtron).run(ParallelSpec(base=base, parallel_degree=4))
     par_span = max(r.trace[-1].completed_at for r in par.runs) - min(
         r.trace[0].submitted_at for r in par.runs
     )

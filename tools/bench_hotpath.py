@@ -12,9 +12,11 @@ two phases that dominate real campaign time:
   through the engine's queued host; each entry also carries the
   *simulated* ``device_iops``, which should scale with depth up to the
   profile's channel count.
+* **run_SR/RR/SW/RW/mix/parallel**: whole measured runs through the
+  engine, trace recording included;
 * **run_RW_gc / run_RR_qd32_analytic**: the closed-form kernel
-  workloads — GC-crossing random writes on an enforced device (the
-  GC-epoch kernel) and a depth-32 random-read run (the queued
+  workloads — GC-crossing random writes on an enforced page-map device
+  (the GC-epoch kernel) and a depth-32 random-read run (the queued
   completion kernel), each with a ``/fallback`` twin forced through
   the hosts' per-IO reference loops.
 
@@ -57,7 +59,6 @@ from repro.core.patterns import (  # noqa: E402
     PatternSpec,
     baselines,
 )
-from repro.core.runner import execute  # noqa: E402
 from repro.flashsim.ftl.pagemap import PageMapConfig  # noqa: E402
 from repro.flashsim.profiles import (  # noqa: E402
     build_device,
@@ -66,7 +67,6 @@ from repro.flashsim.profiles import (  # noqa: E402
     scaled_profile,
 )
 from repro.flashsim.recorder import FlightRecorder  # noqa: E402
-from repro.flashsim.trace import pickled_sizes  # noqa: E402
 from repro.iotypes import Mode  # noqa: E402
 from repro.units import KIB, MIB  # noqa: E402
 
@@ -85,7 +85,9 @@ SPEEDUP_RETENTION = 0.5
 #: speedup-gated workloads: (fast key stem, slow-twin suffix).  The
 #: enforce ratio pins the vectorized write kernel; the run_RW_gc ratio
 #: pins the GC-epoch kernel (its fallback twin runs the per-IO
-#: reference loop with the batch controller paths still on).
+#: reference loop with the batch controller paths still on).  run_RW_gc
+#: runs on page-map profiles only: the other families take the per-IO
+#: path on both sides, so their ratio would pin nothing.
 SPEEDUP_GATES = (("enforce", "scalar"), ("run_RW_gc", "fallback"))
 
 DEFAULT_PROFILES = ("ideal_pagemap", "memoright", "kingston_dti")
@@ -139,6 +141,7 @@ def bench_profile(
     for _ in range(max(repeat, 1)):
         device = build_device(profile, logical_bytes=logical_bytes)
         _set_batch(device, batch)
+        engine = Engine(device)
 
         start = time.perf_counter()
         report = enforce_random_state(device)
@@ -149,7 +152,7 @@ def bench_profile(
 
         for name in PATTERN_ORDER:
             start = time.perf_counter()
-            execute(device, specs[name])
+            engine.run(specs[name])
             elapsed = time.perf_counter() - start
             key = f"{profile}/{name}{suffix}"
             best_sec[key] = min(best_sec.get(key, elapsed), elapsed)
@@ -194,45 +197,21 @@ def _run_specs(logical_bytes: int, io_count: int) -> dict[str, object]:
 
 
 def bench_measured_runs(
-    profile: str, logical_bytes: int, io_count: int, columnar: bool, repeat: int
+    profile: str, logical_bytes: int, io_count: int, repeat: int
 ) -> dict[str, dict[str, float]]:
-    """Best-of-``repeat`` timings of the engine's recording pipeline.
-
-    The same six workloads run through ``Engine(columnar=True)`` (the
-    default columnar recording path, plain keys) and
-    ``Engine(columnar=False)`` (the legacy per-IO object path,
-    ``/object`` suffix — mirroring the batch/scalar convention of the
-    device-level workloads).  Both produce bit-identical traces, so the
-    ratio is pure recording overhead.
-
-    The columnar pass also reports the trace IPC sizes once per profile
-    (``{profile}/trace_pickle``): pickle bytes of one RW run's trace in
-    the packed columnar format vs the legacy object graph.
-    """
-    suffix = "" if columnar else "/object"
+    """Best-of-``repeat`` timings of the engine's six measured runs,
+    columnar trace recording included."""
     best_sec: dict[str, float] = {}
-    sizes: tuple[int, int] | None = None
     workloads = _run_specs(logical_bytes, io_count)
     for _ in range(max(repeat, 1)):
-        device = build_device(profile, logical_bytes=logical_bytes)
-        engine = Engine(device, columnar=columnar)
+        engine = Engine(build_device(profile, logical_bytes=logical_bytes))
         for name, spec in workloads.items():
             start = time.perf_counter()
-            run = engine.run(spec)
+            engine.run(spec)
             elapsed = time.perf_counter() - start
-            key = f"{profile}/{name}{suffix}"
+            key = f"{profile}/{name}"
             best_sec[key] = min(best_sec.get(key, elapsed), elapsed)
-            if columnar and name == "run_RW" and sizes is None:
-                sizes = pickled_sizes(run.trace)
-    results = {key: _entry(sec, io_count) for key, sec in best_sec.items()}
-    if sizes is not None:
-        columnar_bytes, object_bytes = sizes
-        results[f"{profile}/trace_pickle"] = {
-            "columnar_bytes": columnar_bytes,
-            "object_graph_bytes": object_bytes,
-            "reduction": round(object_bytes / max(columnar_bytes, 1), 2),
-        }
-    return results
+    return {key: _entry(sec, io_count) for key, sec in best_sec.items()}
 
 
 #: queue depths of the NCQ sweep (1 = the synchronous reference)
@@ -288,10 +267,10 @@ def bench_gc_epochs(
     """Best-of-``repeat`` timings of the closed-form kernel workloads.
 
     Both workloads start from an *enforced* device, whose free pool
-    sits at the GC watermark.  ``run_RW_gc`` issues random 16 KiB
-    writes re-covering the device, so the stream crosses a collection
-    every few IOs and the GC-epoch kernel carries the whole run as
-    closed-form appends between real relocation steps.
+    sits at the GC watermark.  ``run_RW_gc`` (page-map profiles only)
+    issues random 16 KiB writes re-covering the device, so the stream
+    crosses a collection every few IOs and the GC-epoch kernel carries
+    the whole run as closed-form appends between real relocation steps.
     ``run_RR_qd32_analytic`` drives the same enforced state with
     depth-32 random reads through the queued completion kernel's
     vectorized event schedule.
@@ -312,7 +291,8 @@ def bench_gc_epochs(
     during enforcement, so the timed run sits in GC steady state from
     its first window.
     """
-    if get_profile(profile).ftl_kind == "pagemap":
+    pagemap = get_profile(profile).ftl_kind == "pagemap"
+    if pagemap:
         variant = scaled_profile(
             profile,
             name=f"{profile}-gc-bench",
@@ -334,10 +314,9 @@ def bench_gc_epochs(
         io_count=io_count,
         random_target_size=logical_bytes,
     )["RR"].with_(queue_depth=32)
-    workloads = (
-        ("run_RW_gc", write_spec),
-        ("run_RR_qd32_analytic", read_spec),
-    )
+    workloads = (("run_RR_qd32_analytic", read_spec),)
+    if pagemap:
+        workloads = (("run_RW_gc", write_spec), *workloads)
     best_sec: dict[str, float] = {}
     for _ in range(max(repeat, 1)):
         for enabled in (True, False):
@@ -401,7 +380,7 @@ def bench_snapshot_pack(
     primitives on an enforced device: flat-buffer packing
     (:func:`~repro.flashsim.snapshot.pack_snapshot`, what the publisher
     pays once per state), unpack-plus-restore (what a worker pays per
-    shared-memory attach), and the legacy whole-snapshot pickle for
+    shared-memory attach), and the whole-snapshot pickle for
     comparison.  ``packed_bytes`` vs ``pickled_bytes`` shows the size of
     a shared segment against the per-cell pipe traffic it replaces.
     Stat-only entry: no ``usec_per_io``, so the --baseline gate skips it.
@@ -465,7 +444,7 @@ def check_baseline(
     regressions = []
     for workload, entry in results.items():
         old = baseline.get(workload)
-        # stat-only entries (e.g. trace_pickle sizes) carry no timing
+        # stat-only entries (e.g. snapshot_pack sizes) carry no timing
         if not old or "usec_per_io" not in old or "usec_per_io" not in entry:
             continue
         if entry["usec_per_io"] > REGRESSION_FACTOR * old["usec_per_io"]:
@@ -546,14 +525,10 @@ def main(argv: list[str] | None = None) -> int:
             results.update(
                 bench_profile(profile, logical, io_count, batch, args.repeat)
             )
-        for columnar in (True,) if args.batch_only else (True, False):
-            mode = "columnar" if columnar else "object"
-            print(f"benchmarking {profile} runs ({mode}) ...", flush=True)
-            results.update(
-                bench_measured_runs(
-                    profile, logical, io_count, columnar, args.repeat
-                )
-            )
+        print(f"benchmarking {profile} runs ...", flush=True)
+        results.update(
+            bench_measured_runs(profile, logical, io_count, args.repeat)
+        )
         print(f"benchmarking {profile} queue depths ...", flush=True)
         results.update(
             bench_queue_depths(profile, logical, io_count, args.repeat)
@@ -583,21 +558,6 @@ def main(argv: list[str] | None = None) -> int:
                     f"{profile}: {name} speedup {speedup:.2f}x "
                     f"({slow_suffix}/fast)"
                 )
-        for name in (*(f"run_{p}" for p in PATTERN_ORDER), "run_mix", "run_parallel"):
-            plain = f"{profile}/{name}"
-            legacy = f"{profile}/{name}/object"
-            if plain in results and legacy in results:
-                speedup = (
-                    results[legacy]["usec_per_io"]
-                    / max(results[plain]["usec_per_io"], 1e-9)
-                )
-                print(f"{profile}: {name} speedup {speedup:.2f}x (object/columnar)")
-        pickle_key = f"{profile}/trace_pickle"
-        if pickle_key in results:
-            print(
-                f"{profile}: trace pickle "
-                f"{results[pickle_key]['reduction']}x smaller (columnar)"
-            )
         pack_key = f"{profile}/snapshot_pack"
         if pack_key in results:
             entry = results[pack_key]

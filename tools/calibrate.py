@@ -14,7 +14,13 @@ import time
 
 import numpy as np
 
-from repro.core import baselines, detect_phases, enforce_random_state, execute, rest_device
+from repro.core import (
+    Engine,
+    baselines,
+    detect_phases,
+    enforce_random_state,
+    rest_device,
+)
 from repro.flashsim import build_device
 from repro.paperdata import TABLE3
 from repro.units import KIB, SEC
@@ -34,7 +40,7 @@ def measure(name: str) -> None:
     )
     print(f"== {name} ({device.geometry.describe()})")
     for label in ("SR", "RR", "SW", "RW"):
-        run = execute(device, specs[label])
+        run = Engine(device).run(specs[label])
         responses = np.array(run.trace.response_times())
         phases = detect_phases(responses)
         steady = responses[phases.startup :].mean() / 1000.0
