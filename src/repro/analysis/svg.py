@@ -137,7 +137,7 @@ def svg_trace(
     path: str | Path | None = None,
 ) -> str:
     """Render a per-IO response-time trace; optionally write it."""
-    if not response_usec:
+    if len(response_usec) == 0:
         raise AnalysisError("cannot plot an empty trace")
     values_ms = [value / 1000.0 for value in response_usec]
     y_lo, y_hi = min(values_ms), max(values_ms)
@@ -170,7 +170,7 @@ def svg_series(
     path: str | Path | None = None,
 ) -> str:
     """Render named (x, y) series as polylines; optionally write it."""
-    if not series or not any(xs for xs, __ in series.values()):
+    if not series or not any(len(xs) for xs, __ in series.values()):
         raise AnalysisError("no series to plot")
     all_x = [x for xs, __ in series.values() for x in xs]
     all_y = [y for __, ys in series.values() for y in ys]

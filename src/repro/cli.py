@@ -40,6 +40,7 @@ from repro.core import (
 from repro.core.microbench import MICROBENCHMARKS
 from repro.core.patterns import LocationKind, PatternSpec
 from repro.core.report import format_table, render_experiment
+from repro.errors import ReproError
 from repro.flashsim import ALL_PROFILES, build_device, get_profile
 from repro.flashsim.power import MLC_POWER, SLC_POWER, measure_run_energy
 from repro.flashsim.wear import project_lifetime, wear_report
@@ -705,7 +706,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     configure_logging(args.verbose - args.quiet)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ReproError, OSError) as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -17,6 +17,18 @@ device layer verify read-your-writes in tests without the memory cost of
 real page contents.  Timing is *not* the chip's concern — the FTL counts
 operations in a :class:`~repro.flashsim.timing.CostAccumulator` and the
 device converts counts to microseconds.
+
+Besides the three scalar operations, run forms check once per run
+instead of once per page: ``read_run``/``read_many``/``program_run``
+for host IO runs, and :meth:`FlashChip.migrate` for merge copies.
+``migrate`` reads a run of source pages and reprograms them, with a
+filler token for gaps, into one destination block; it is the only copy
+path of the hybrid (full and partial merges), block-map (gap copies and
+finalisation) and FAST (reclamation) FTLs, and of page-map garbage
+collection on its batch path.  Every run form leaves the same tokens
+and counters as the scalar loop it stands for, and ``migrate`` replays
+that loop whenever a fault injector is attached or a check fails, so
+errors surface at the same page with the same state.
 """
 
 from __future__ import annotations
@@ -245,6 +257,68 @@ class FlashChip:
         self._tokens[base : base + n] = tokens
         self._write_point[block] = write_point + n
         self.stats.page_programs += n
+
+    def migrate(
+        self, src_ppages: np.ndarray, dst_block: int, start: int, filler: int
+    ) -> int:
+        """Copy a run of pages into ``dst_block`` from offset ``start`` on.
+
+        Entry ``i`` of ``src_ppages`` fills page ``start + i``: a global
+        physical page (>= 0) is read and its token reprogrammed
+        (``filler`` if that page is erased); -1 programs ``filler``
+        without a read.  Returns the number of pages read.
+
+        Equivalent to one scalar :meth:`read` per source followed by one
+        :meth:`program` per page, with one check per run.  A run that
+        cannot pass the checks whole (fault injector attached, bad or
+        out-of-range block or page, out-of-order ``start``, negative
+        ``filler``, a source inside ``dst_block``) replays exactly that
+        scalar interleave, so it raises the same exception at the same
+        page and leaves the same tokens and counters behind.
+        """
+        src = np.asarray(src_ppages, dtype=np.int64)
+        n = int(src.size)
+        ppb = self.geometry.pages_per_block
+        reads = src >= 0
+        sources = src[reads]
+        blocks = sources // ppb
+        if (
+            self.fault_injector is None
+            and filler >= 0
+            and 0 <= dst_block < self.geometry.physical_blocks
+            and 0 <= start
+            and start + n <= ppb
+            and not self._bad[dst_block]
+            and self._write_point[dst_block] == start
+            and (sources.size == n or bool((src >= -1).all()))
+            and (
+                sources.size == 0
+                or (
+                    int(sources.max()) < self.geometry.physical_pages
+                    and not self._bad[blocks].any()
+                    and not (blocks == dst_block).any()
+                )
+            )
+        ):
+            tokens = np.full(n, filler, dtype=np.int64)
+            copied = self._tokens[sources]
+            tokens[reads] = np.where(copied == ERASED, filler, copied)
+            base = dst_block * ppb + start
+            self._tokens[base : base + n] = tokens
+            self._write_point[dst_block] = start + n
+            self.stats.page_reads += int(sources.size)
+            self.stats.page_programs += n
+            return int(sources.size)
+        count = 0
+        for i, page in enumerate(src.tolist()):
+            token = filler
+            if page != -1:
+                token = self.read(*divmod(page, ppb))
+                count += 1
+                if token == ERASED:
+                    token = filler
+            self.program(dst_block, start + i, token)
+        return count
 
     def erase(self, block: int) -> None:
         """Erase a whole block, resetting all its pages to ERASED."""

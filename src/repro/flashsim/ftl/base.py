@@ -44,6 +44,9 @@ from repro.flashsim.chip import ERASED, FlashChip
 from repro.flashsim.geometry import Geometry
 from repro.flashsim.timing import CostAccumulator
 
+#: token programmed into pages that exist only to pad a merged block
+FILLER_TOKEN = 0
+
 #: immutable leaf types the snapshot fast copy passes through unchanged
 _SCALAR_TYPES = (int, float, complex, bool, str, bytes, frozenset, type(None))
 
@@ -202,6 +205,31 @@ class BaseFTL(ABC):
         internal commit boundary — the physical cause of the strikingly
         expensive small sequential writes of Figure 7.  Default: no-op.
         """
+
+    # ------------------------------------------------------------------
+    # merge copies
+    # ------------------------------------------------------------------
+
+    def _block_sources(self, pblock: int, start: int, end: int) -> np.ndarray:
+        """:meth:`FlashChip.migrate` sources for offsets ``[start, end)``
+        of a block-mapped data block: its physical page below the chip's
+        write point, -1 (filler) past it or when ``pblock`` is -1."""
+        offsets = np.arange(start, end, dtype=np.int64)
+        limit = self.chip.write_point(pblock) if pblock >= 0 else 0
+        return np.where(
+            offsets < limit, pblock * self.geometry.pages_per_block + offsets, -1
+        )
+
+    def _migrate(
+        self, src: np.ndarray, dst_block: int, start: int, cost: CostAccumulator
+    ) -> int:
+        """Copy one merge run with :meth:`FlashChip.migrate` (filler
+        pages pad it), charging its copy reads and programs to ``cost``.
+        Returns the pages read."""
+        reads = self.chip.migrate(src, dst_block, start, FILLER_TOKEN)
+        cost.copy_reads += reads
+        cost.copy_programs += len(src)
+        return reads
 
     # ------------------------------------------------------------------
     # background reclamation (default: none)

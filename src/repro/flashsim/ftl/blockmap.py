@@ -32,9 +32,8 @@ import numpy as np
 
 from repro.errors import FTLError, OutOfSpaceError
 from repro.flashsim.chip import ERASED, FlashChip
-from repro.flashsim.ftl.base import BaseFTL
+from repro.flashsim.ftl.base import FILLER_TOKEN, BaseFTL
 from repro.flashsim.bitmap import mask_from_indices
-from repro.flashsim.ftl.hybrid import FILLER_TOKEN
 from repro.flashsim.geometry import Geometry
 from repro.flashsim.timing import CostAccumulator
 
@@ -244,19 +243,9 @@ class BlockMapFTL(BaseFTL):
     ) -> None:
         """Copy pages ``[start, end)`` of the logical block from the old
         physical block into the replacement (filling gaps with filler)."""
-        old = int(self._data_map[rep.lblock])
-        old_end = self.chip.write_point(old) if old >= 0 else 0
         sub = cost.begin_scope()
-        for offset in range(start, end):
-            if offset < old_end:
-                token = self.chip.read(old, offset)
-                sub.copy_reads += 1
-            else:
-                token = ERASED
-            self.chip.program(
-                rep.pblock, offset, token if token != ERASED else FILLER_TOKEN
-            )
-            sub.copy_programs += 1
+        src = self._block_sources(int(self._data_map[rep.lblock]), start, end)
+        self._migrate(src, rep.pblock, start, sub)
         cost.end_scope("merge", sub)
 
     def _finalize(self, lblock: int, cost: CostAccumulator) -> None:
@@ -289,13 +278,8 @@ class BlockMapFTL(BaseFTL):
     def _copy_range_tail(
         self, rep: _Replacement, tail_end: int, old: int, cost: CostAccumulator
     ) -> None:
-        for offset in range(rep.next_offset, tail_end):
-            token = self.chip.read(old, offset)
-            cost.copy_reads += 1
-            self.chip.program(
-                rep.pblock, offset, token if token != ERASED else FILLER_TOKEN
-            )
-            cost.copy_programs += 1
+        src = self._block_sources(old, rep.next_offset, tail_end)
+        self._migrate(src, rep.pblock, rep.next_offset, cost)
         rep.next_offset = tail_end
 
     def quiesce(self) -> CostAccumulator:

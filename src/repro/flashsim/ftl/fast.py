@@ -28,9 +28,8 @@ import numpy as np
 
 from repro.errors import FTLError, OutOfSpaceError
 from repro.flashsim.chip import ERASED, FlashChip
-from repro.flashsim.ftl.base import BaseFTL
+from repro.flashsim.ftl.base import FILLER_TOKEN, BaseFTL
 from repro.flashsim.bitmap import mask_from_indices
-from repro.flashsim.ftl.hybrid import FILLER_TOKEN
 from repro.flashsim.geometry import Geometry
 from repro.flashsim.timing import CostAccumulator
 
@@ -294,33 +293,20 @@ class FastFTL(BaseFTL):
         target = self._take_free(sub)
         old = int(self._data_map[lblock])
         base = lblock * ppb
-        highest = -1
-        for offset in range(ppb):
-            if (base + offset) in self._shared_map:
-                highest = offset
-            elif seq_log is not None and offset < seq_log.next_pos:
-                highest = offset
-            elif old >= 0 and offset < self.chip.write_point(old):
-                highest = offset
-        for offset in range(highest + 1):
-            lpage = base + offset
-            entry = self._shared_map.get(lpage)
-            if entry is not None:
-                log, position = entry
-                token = self.chip.read(log.pblock, position)
-                sub.copy_reads += 1
-            elif seq_log is not None and offset < seq_log.next_pos:
-                token = self.chip.read(seq_log.pblock, offset)
-                sub.copy_reads += 1
-            elif old >= 0 and offset < self.chip.write_point(old):
-                token = self.chip.read(old, offset)
-                sub.copy_reads += 1
-            else:
-                token = ERASED
-            self.chip.program(
-                target, offset, token if token != ERASED else FILLER_TOKEN
-            )
-            sub.copy_programs += 1
+        # newest copy of each offset: a shared-log entry, else the seq
+        # log, else the old data page, else filler — up to the highest
+        # live offset
+        src = self._block_sources(old, 0, ppb)
+        if seq_log is not None:
+            logged = np.arange(seq_log.next_pos)
+            src[logged] = seq_log.pblock * ppb + logged
+        shared = [p for p in range(base, base + ppb) if p in self._shared_map]
+        for lpage in shared:
+            log, position = self._shared_map[lpage]
+            src[lpage - base] = log.pblock * ppb + position
+        live = np.flatnonzero(src >= 0)
+        self._migrate(src[: int(live[-1]) + 1 if live.size else 0], target, 0, sub)
+        for lpage in shared:
             self._drop_shared_entry(lpage)
         self._data_map[lblock] = target
         if old >= 0:

@@ -51,13 +51,10 @@ import numpy as np
 
 from repro.errors import FTLError, OutOfSpaceError
 from repro.flashsim.chip import ERASED, FlashChip
-from repro.flashsim.ftl.base import BaseFTL
+from repro.flashsim.ftl.base import FILLER_TOKEN, BaseFTL
 from repro.flashsim.bitmap import mask_from_indices
 from repro.flashsim.geometry import Geometry
 from repro.flashsim.timing import CostAccumulator
-
-#: token programmed into pages that exist only to pad a merged block
-FILLER_TOKEN = 0
 
 
 @dataclass(frozen=True)
@@ -479,26 +476,15 @@ class HybridLogFTL(BaseFTL):
             raise OutOfSpaceError("no merge reserve block available")
         sub = cost.begin_scope()
         target = self._free_pop()
-        written = 0
-        logged = np.flatnonzero(log.pos_of >= 0)
-        highest = int(logged[-1]) if logged.size else -1
-        if old >= 0:
-            highest = max(highest, self.chip.write_point(old) - 1)
-        for offset in range(highest + 1):
-            if log.pos_of[offset] >= 0:
-                token = self.chip.read(log.pblock, int(log.pos_of[offset]))
-                sub.copy_reads += 1
-                self.merge_copy_reads += 1
-            elif old >= 0 and offset < self.chip.write_point(old):
-                token = self.chip.read(old, offset)
-                sub.copy_reads += 1
-                self.merge_copy_reads += 1
-            else:
-                token = ERASED
-            self.chip.program(target, offset, token if token != ERASED else FILLER_TOKEN)
-            sub.copy_programs += 1
-            self.merge_copy_programs += 1
-            written += 1
+        # newest copy of each offset: the log's page, else the old data
+        # page, else filler — up to the highest live offset
+        src = self._block_sources(old, 0, ppb)
+        logged = log.pos_of >= 0
+        src[logged] = log.pblock * ppb + log.pos_of[logged].astype(np.int64)
+        live = np.flatnonzero(src >= 0)
+        src = src[: int(live[-1]) + 1 if live.size else 0]
+        self.merge_copy_reads += self._migrate(src, target, 0, sub)
+        self.merge_copy_programs += src.size
         self._data_map[log.lblock] = target
         self.chip.erase(log.pblock)
         sub.block_erases += 1
@@ -513,19 +499,11 @@ class HybridLogFTL(BaseFTL):
 
     def _partial_merge(self, log: _LogBlock, old: int, cost: CostAccumulator) -> None:
         """The log holds an in-order prefix: copy the tail, then switch."""
-        ppb = self.geometry.pages_per_block
         sub = cost.begin_scope()
         if old >= 0:
-            tail_end = self.chip.write_point(old)
-            for offset in range(log.next_pos, tail_end):
-                token = self.chip.read(old, offset)
-                sub.copy_reads += 1
-                self.merge_copy_reads += 1
-                self.chip.program(
-                    log.pblock, offset, token if token != ERASED else FILLER_TOKEN
-                )
-                sub.copy_programs += 1
-                self.merge_copy_programs += 1
+            src = self._block_sources(old, log.next_pos, self.chip.write_point(old))
+            self.merge_copy_reads += self._migrate(src, log.pblock, log.next_pos, sub)
+            self.merge_copy_programs += src.size
         self._data_map[log.lblock] = log.pblock
         if old >= 0:
             self.chip.erase(old)

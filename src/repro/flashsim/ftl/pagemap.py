@@ -541,12 +541,10 @@ class PageMapFTL(BaseFTL):
         live_offsets = np.flatnonzero(self._valid_map[base : base + write_point])
         count = int(live_offsets.size)
         if count:
-            live_lpages = self._p2l[base + live_offsets].copy()
-            tokens = self.chip.read_many(base + live_offsets)
-            cost.copy_reads += count
-            self.gc_copy_reads += count
-            self._p2l[base + live_offsets] = -1
-            self._valid_map[base + live_offsets] = False
+            live_pages = base + live_offsets
+            live_lpages = self._p2l[live_pages].copy()
+            self._p2l[live_pages] = -1
+            self._valid_map[live_pages] = False
             self._valid[victim] -= count
             moved = 0
             while moved < count:
@@ -558,7 +556,7 @@ class PageMapFTL(BaseFTL):
                 offset = self.chip.write_point(active)
                 take = min(ppb - offset, count - moved)
                 chunk_lpages = live_lpages[moved : moved + take]
-                self.chip.program_run(active, offset, tokens[moved : moved + take])
+                self._migrate(live_pages[moved : moved + take], active, offset, cost)
                 start = active * ppb + offset
                 self._l2p[chunk_lpages] = np.arange(
                     start, start + take, dtype=np.int64
@@ -567,7 +565,7 @@ class PageMapFTL(BaseFTL):
                 self._valid_map[start : start + take] = True
                 self._valid[active] += take
                 moved += take
-            cost.copy_programs += count
+            self.gc_copy_reads += count
             self.gc_copy_programs += count
         self.chip.erase(victim)
         cost.block_erases += 1

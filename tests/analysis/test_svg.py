@@ -1,5 +1,6 @@
 """SVG figure backend."""
 
+import numpy as np
 import pytest
 
 from repro.analysis.svg import svg_series, svg_trace
@@ -31,6 +32,16 @@ def test_trace_constant_series():
 def test_trace_empty_rejected():
     with pytest.raises(AnalysisError):
         svg_trace([])
+    with pytest.raises(AnalysisError):
+        svg_trace(np.empty(0))
+
+
+def test_trace_accepts_numpy_arrays():
+    # IOTrace.response_times is an ndarray; its truth value is ambiguous
+    values = np.array([100.0, 5000.0, 300.0])
+    assert svg_trace(values) == svg_trace(values.tolist())
+    series = {"RW": (np.arange(3), values)}
+    assert svg_series(series).count("<polyline") == 1
 
 
 def test_series_polylines_and_legend(tmp_path):

@@ -182,6 +182,20 @@ def test_campaign_and_report_subcommands(capsys, tmp_path):
     assert "no experiment regressed" in out_md.read_text()
 
 
+@pytest.mark.parametrize("target", ["directory", "missing.json"])
+def test_report_on_a_bad_path_is_a_one_line_error(capsys, tmp_path, target):
+    path = tmp_path / target
+    if target == "directory":
+        path.mkdir()
+    code = main(["report", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("uflip: error: ")
+    assert str(path) in err
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_replay_subcommand(capsys, tmp_path):
     # capture a small trace first
     from repro.core import Engine, baselines
