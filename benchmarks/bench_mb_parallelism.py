@@ -6,7 +6,7 @@ sequential writes degenerates to partitioned write patterns, with the
 corresponding cost increase.
 """
 
-from repro.core import BenchContext, build_microbenchmark, execute_spec, rest_device
+from repro.core import BenchContext, Engine, build_microbenchmark, rest_device
 from repro.core.report import format_table
 from repro.units import KIB, SEC
 
@@ -41,7 +41,7 @@ def test_parallelism_no_gain_and_sw_degeneration(once):
             experiment = bench.experiment(label)
             rows = []
             for degree in DEGREES:
-                result = execute_spec(device, experiment.spec_for(degree))
+                result = Engine(device).run(experiment.spec_for(degree))
                 rest_device(device, 30 * SEC)
                 rows.append(
                     (degree, throughput(result), result.stats.mean_usec / 1000.0)

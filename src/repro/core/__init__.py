@@ -33,7 +33,6 @@ from repro.core.experiment import (
     Experiment,
     ExperimentResult,
     ExperimentRow,
-    execute_spec,
     run_experiment,
 )
 from repro.core.executor import (
@@ -145,7 +144,6 @@ __all__ = [
     "enforce_random_state",
     "enforce_sequential_state",
     "evaluate_workload",
-    "execute_spec",
     "external_sort_merge",
     "list_campaigns",
     "log_structured_writer",

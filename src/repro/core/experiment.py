@@ -126,17 +126,6 @@ def _reseed(spec: SpecLike, bump: int) -> SpecLike:
     return reseed(spec, bump)
 
 
-def execute_spec(device: FlashDevice, spec: SpecLike):
-    """Dispatch a spec to the right executor; returns the run object.
-
-    A thin front over :meth:`Engine.run`: dispatch is by the engine's
-    executor registry, so every registered spec kind — including
-    :class:`ParallelMixSpec` — executes without this module knowing
-    about it.
-    """
-    return Engine(device).run(spec)
-
-
 def _trace_iops(trace: IOTrace) -> float:
     """Simulated IOPS of one run: IO count over the trace makespan.
 
@@ -176,6 +165,7 @@ def run_experiment(
     if repetitions < 1:
         raise ExperimentError("repetitions must be >= 1")
     result = ExperimentResult(experiment=experiment)
+    engine = Engine(device)
     for value in experiment.values:
         base_spec = experiment.spec_for(value)
         row = ExperimentRow(value=value, label=getattr(base_spec, "label", ""))
@@ -184,7 +174,7 @@ def run_experiment(
             spec = _reseed(base_spec, repetition)
             if allocate is not None:
                 spec = allocate(spec)
-            run = execute_spec(device, spec)
+            run = engine.run(spec)
             row.stats.append(run.stats)
             trace = getattr(run, "trace", None)
             if trace is not None:

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
+import numpy as np
+
 from repro.errors import FTLError
 from repro.flashsim.ftl.base import BaseFTL
 from repro.flashsim.geometry import Geometry
@@ -96,6 +98,54 @@ class WriteBackCache:
             return None
         self.hits += 1
         return group[offset]
+
+    def _block_spans(self, start: int, count: int):
+        """Split pages ``start .. start+count-1`` into one
+        ``(lblock, first offset, index of its first page, length)`` per
+        logical block."""
+        ppb = self.geometry.pages_per_block
+        index = 0
+        while index < count:
+            lblock, offset = divmod(start + index, ppb)
+            length = min(count - index, ppb - offset)
+            yield lblock, offset, index, length
+            index += length
+
+    def write_run(self, start: int, tokens: np.ndarray) -> None:
+        """:meth:`write` of ``tokens`` to pages ``start, start+1, ...``
+        with one group lookup and one LRU touch per logical block; the
+        same groups, LRU order and counters as the per-page loop."""
+        values = tokens.tolist()
+        for lblock, offset, index, length in self._block_spans(start, len(values)):
+            group = self._groups.get(lblock)
+            if group is None:
+                group = self._groups[lblock] = {}
+            else:
+                self._groups.move_to_end(lblock)
+            before = len(group)
+            group.update(
+                zip(range(offset, offset + length), values[index : index + length])
+            )
+            added = len(group) - before
+            self._dirty_pages += added
+            self.hits += length - added
+
+    def read_run(self, start: int, count: int) -> dict[int, int]:
+        """:meth:`read` of pages ``start .. start+count-1``: the cached
+        tokens as ``{page index in the run: token}`` (empty when every
+        page misses), with the per-page loop's hit and miss counts."""
+        found: dict[int, int] = {}
+        for lblock, offset, index, length in self._block_spans(start, count):
+            group = self._groups.get(lblock)
+            if group is None:
+                continue
+            for i in range(length):
+                token = group.get(offset + i)
+                if token is not None:
+                    found[index + i] = token
+        self.hits += len(found)
+        self.misses += count - len(found)
+        return found
 
     # ------------------------------------------------------------------
     # snapshot / restore

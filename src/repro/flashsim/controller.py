@@ -80,11 +80,6 @@ class Controller:
         #: when False, reads and writes take the scalar per-page reference
         #: path regardless of the FTL's batch capability (equivalence suite).
         self.batch_enabled = True
-        #: minimum span (pages) for the batch *read* path: the array
-        #: gather has a flat ~13 us overhead while scalar reads cost
-        #: ~1 us/page, so short reads are faster page by page (measured
-        #: crossover ≈ 14 pages on the page-map FTL)
-        self.batch_read_min_pages = 16
 
     # ------------------------------------------------------------------
     # helpers
@@ -139,11 +134,26 @@ class Controller:
         if (
             self.batch_enabled
             and self.ftl.batch_read_capable
-            and self.cache is None
-            and span.stop - span.start >= self.batch_read_min_pages
+            and span.stop - span.start >= self.ftl.batch_read_min_pages
         ):
             lpages = np.arange(span.start, span.stop, dtype=np.int64)
-            tokens = self.ftl.read_pages(lpages, cost, ascending=True)
+            cached = (
+                self.cache.read_run(span.start, lpages.size)
+                if self.cache is not None
+                else None
+            )
+            if cached:
+                # dirty pages come from RAM; only the misses reach flash
+                tokens = np.empty(lpages.size, dtype=np.int64)
+                hit = np.zeros(lpages.size, dtype=bool)
+                hit[list(cached)] = True
+                tokens[hit] = list(cached.values())
+                if not hit.all():
+                    tokens[~hit] = self.ftl.read_pages(
+                        lpages[~hit], cost, ascending=True
+                    )
+            else:
+                tokens = self.ftl.read_pages(lpages, cost, ascending=True)
             if self.config.verify:
                 expected = self._shadow[span.start : span.stop]
                 if not np.array_equal(tokens, expected):
@@ -182,7 +192,6 @@ class Controller:
         if (
             self.batch_enabled
             and self.ftl.batch_write_capable
-            and self.cache is None
             and span.stop - span.start > 1
         ):
             # Fully covered pages form one contiguous middle run: coverage
@@ -194,16 +203,16 @@ class Controller:
             cov_hi = min(span.stop, (lba + size) // page_size)
             if cov_lo >= cov_hi:
                 cov_lo = cov_hi = span.start
-            lpages = np.arange(span.start, span.stop, dtype=np.int64)
+            n = span.stop - span.start
             if cov_lo == span.start and cov_hi == span.stop:
                 # aligned whole-page extent: the fresh tokens ARE the run
                 tokens = np.arange(
-                    self._next_token, self._next_token + lpages.size, dtype=np.int64
+                    self._next_token, self._next_token + n, dtype=np.int64
                 )
-                self._next_token += lpages.size
+                self._next_token += n
                 self._shadow[span.start : span.stop] = tokens
             else:
-                tokens = np.empty(lpages.size, dtype=np.int64)
+                tokens = np.empty(n, dtype=np.int64)
                 for lpage in range(span.start, cov_lo):
                     tokens[lpage - span.start] = self._rmw_token(lpage, cost)
                 count = cov_hi - cov_lo
@@ -216,7 +225,12 @@ class Controller:
                     tokens[cov_lo - span.start : cov_hi - span.start] = fresh
                 for lpage in range(cov_hi, span.stop):
                     tokens[lpage - span.start] = self._rmw_token(lpage, cost)
-            self.ftl.write_run(lpages, tokens, cost, ascending=True)
+            if self.cache is not None:
+                self.cache.write_run(span.start, tokens)
+                self.cache.destage_if_needed(self.ftl, cost)
+            else:
+                lpages = np.arange(span.start, span.stop, dtype=np.int64)
+                self.ftl.write_run(lpages, tokens, cost, ascending=True)
         else:
             items: list[tuple[int, int]] = []
             for lpage in span:

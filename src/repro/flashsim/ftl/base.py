@@ -98,6 +98,11 @@ class BaseFTL(ABC):
     #: delegation would just add overhead on top of the scalar loop).
     batch_read_capable = False
     batch_write_capable = False
+    #: minimum span (pages) for the controller's batch *read* path: the
+    #: array gather has a flat ~13 us overhead while scalar reads cost
+    #: ~1 us/page, so short reads are faster page by page (measured
+    #: crossover ≈ 14 pages on the page-map FTL)
+    batch_read_min_pages = 16
 
     #: Names of the mutable attributes that make up a subclass's state.
     #: ``snapshot``/``restore`` deep-copy them *together* in one pass,

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import FTLError, OutOfSpaceError
+from repro.errors import BadBlockError, FTLError, OutOfSpaceError
 from repro.flashsim.chip import ERASED, FlashChip
 from repro.flashsim.ftl.base import FILLER_TOKEN, BaseFTL
 from repro.flashsim.bitmap import mask_from_indices
@@ -106,15 +106,35 @@ class _LogBlock:
         self.in_order = True  # offsets written == 0..next_pos-1 in order
 
     def record(self, offset: int) -> None:
-        """Note that ``offset`` was just programmed at ``next_pos``."""
-        if offset != self.next_pos or self.pos_of[offset] >= 0:
+        """Note that ``offset`` was just programmed at ``next_pos``.
+
+        An in-order log holds exactly the offsets below ``next_pos``, so
+        ``offset == next_pos`` also means the offset is new to the log.
+        """
+        if offset != self.next_pos:
             self.in_order = False
         self.pos_of[offset] = self.next_pos
         self.next_pos += 1
 
+    def record_run(self, offset: int, count: int) -> None:
+        """:meth:`record` for offsets ``offset..offset+count-1`` just
+        programmed at ``next_pos..next_pos+count-1``."""
+        if offset != self.next_pos:
+            self.in_order = False
+        self.pos_of[offset : offset + count] = np.arange(
+            self.next_pos, self.next_pos + count
+        )
+        self.next_pos += count
+
 
 class HybridLogFTL(BaseFTL):
     """Block-mapped FTL with a page-mapped (or in-order) log-block pool."""
+
+    batch_read_capable = True
+    batch_write_capable = True
+    #: measured crossover ≈ 5 pages on an enforced memoright (the span
+    #: read is one slice per log-free block, ~8 us fixed, vs ~2 us/page)
+    batch_read_min_pages = 5
 
     _STATE_ATTRS = (
         "_data_map",
@@ -203,6 +223,61 @@ class HybridLogFTL(BaseFTL):
         cost.page_reads += 1
         return self._decode(self.chip.read(data, offset))
 
+    def read_pages(
+        self,
+        lpages: np.ndarray,
+        cost: CostAccumulator,
+        *,
+        ascending: bool = False,
+    ) -> np.ndarray:
+        """See :meth:`BaseFTL.read_pages`: one segment per logical block.
+
+        A block with no open or pending log — the common case — is one
+        slice read of its data block; a block with logs keeps
+        :meth:`read_page`.  Anything but one ``ascending`` contiguous
+        span takes the per-page reference path.
+        """
+        lpages = np.asarray(lpages, dtype=np.int64)
+        n = int(lpages.size)
+        first = int(lpages[0]) if n else 0
+        if (
+            not self.batch_enabled
+            or not ascending
+            or n < 2
+            or int(lpages[-1]) - first != n - 1
+        ):
+            return super().read_pages(lpages, cost)
+        self._check_lpage(first)
+        self._check_lpage(first + n - 1)
+        ppb = self.geometry.pages_per_block
+        parts = []
+        lpage, stop = first, first + n
+        while lpage < stop:
+            lblock, offset = divmod(lpage, ppb)
+            seg = min(stop - lpage, ppb - offset)
+            if (
+                lblock in self._open_seq
+                or lblock in self._open_rnd
+                or lblock in self._pending_by_lblock
+            ):
+                part = np.array(
+                    [self.read_page(p, cost) for p in range(lpage, lpage + seg)],
+                    dtype=np.int64,
+                )
+            elif (data := int(self._data_map[lblock])) >= 0:
+                try:
+                    part = self.chip.read_run(data, offset, seg)
+                except BadBlockError:
+                    cost.page_reads += 1  # read_page counts before the chip raises
+                    raise
+                part[part == FILLER_TOKEN] = ERASED
+                cost.page_reads += seg
+            else:
+                part = np.full(seg, ERASED, dtype=np.int64)
+            parts.append(part)
+            lpage += seg
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
     @staticmethod
     def _decode(token: int) -> int:
         """Map filler pages back to the 'never written' token."""
@@ -214,7 +289,14 @@ class HybridLogFTL(BaseFTL):
 
     def write_pages(self, items, cost: CostAccumulator) -> None:
         """Write a batch, classifying each consecutive run as sequential
-        stream traffic or random traffic (LAST-style routing)."""
+        stream traffic or random traffic (LAST-style routing).
+
+        In batch mode each :meth:`write_page` call is followed by
+        :meth:`_append` of the pages that continue the same log inside
+        the same logical block; with ``batch_enabled`` off or a fault
+        injector attached every page takes :meth:`write_page`.
+        """
+        append = self.batch_enabled and self.chip.fault_injector is None
         run_start = 0
         for position in range(1, len(items) + 1):
             is_break = position == len(items) or (
@@ -222,11 +304,46 @@ class HybridLogFTL(BaseFTL):
             )
             if not is_break:
                 continue
-            run = items[run_start:position]
+            seq = self._classify_run(items[run_start][0], items[position - 1][0])
+            i = run_start
             run_start = position
-            seq = self._classify_run(run[0][0], run[-1][0])
-            for lpage, token in run:
+            while i < position:
+                lpage, token = items[i]
                 self.write_page(lpage, token, cost, seq_hint=seq)
+                i += 1
+                if append and i < position:
+                    i += self._append(items, i, position, cost)
+
+    def _append(self, items, i: int, end: int, cost: CostAccumulator) -> int:
+        """Program ``items[i:end]``'s prefix that continues the log the
+        previous page went into, as one chip run; returns its length.
+
+        Exactly what :meth:`write_page` does page by page there: no
+        routing, promotion or stream restart applies to a page at
+        offset > 0 whose predecessor just went into the same open log,
+        and a cheap in-order log takes it only at its write point.
+        Declines (returns 0) at a block boundary, a closed log, an
+        out-of-order cheap log or an invalid token.
+        """
+        ppb = self.geometry.pages_per_block
+        lblock, offset = divmod(items[i][0], ppb)
+        log = self._open_seq.get(lblock) or self._open_rnd.get(lblock)
+        if (
+            offset == 0
+            or log is None
+            or (not self.config.page_mapped_logs and offset != log.next_pos)
+        ):
+            return 0
+        count = min(end - i, ppb - offset, ppb - log.next_pos)
+        tokens = [token for _, token in items[i : i + count]]
+        if min(tokens) <= FILLER_TOKEN:
+            return 0
+        self.chip.program_run(log.pblock, log.next_pos, np.array(tokens, dtype=np.int64))
+        cost.page_programs += count
+        log.record_run(offset, count)
+        if log.next_pos == ppb:
+            self._close_log(lblock, cost)
+        return count
 
     def _classify_run(self, first_lpage: int, last_lpage: int) -> bool:
         """Sequential-class: the run *continues* a tracked stream tail.

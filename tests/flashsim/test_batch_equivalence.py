@@ -11,8 +11,10 @@ Two devices are driven through the same IO mix — sequential, random,
 aligned, misaligned, reads and writes interleaved — one with
 ``batch_enabled = False`` on both the controller and the FTL (the scalar
 reference), one with the defaults.  Dedicated cases cover the
-cache-enabled and mapping-unit-expanded controllers, whose edges force
-the scalar fallbacks.
+cache-enabled controllers (whose batch path goes through the cache's
+``write_run``/``read_run``), the mapping-unit-expanded controllers
+(whose partial edges keep the scalar read-modify-write) and the
+hybrid profiles at their default capacity.
 """
 
 from __future__ import annotations
@@ -131,14 +133,14 @@ def test_small_devices_scalar_batch_identical(ftl_kind):
 
 @pytest.mark.parametrize("ftl_kind", ["pagemap", "hybrid"])
 def test_cache_enabled_scalar_batch_identical(ftl_kind):
-    """A write-back cache forces the scalar path; counters must agree."""
+    """Cache run writes/reads match the per-page cache loop."""
     scalar = make_device(ftl_kind=ftl_kind, cache_bytes=64 * KIB)
     batch = make_device(ftl_kind=ftl_kind, cache_bytes=64 * KIB)
     _force_scalar(scalar)
     _assert_equivalent(scalar, batch, _io_mix(SMALL_GEOMETRY, seed=13))
 
 
-@pytest.mark.parametrize("ftl_kind", ["pagemap", "blockmap"])
+@pytest.mark.parametrize("ftl_kind", ["pagemap", "blockmap", "hybrid"])
 def test_mapping_unit_scalar_batch_identical(ftl_kind):
     """Mapping-unit expansion creates RMW padding on both edges."""
     unit = 2 * SMALL_GEOMETRY.page_size
@@ -146,6 +148,50 @@ def test_mapping_unit_scalar_batch_identical(ftl_kind):
     batch = make_device(ftl_kind=ftl_kind, mapping_unit=unit)
     _force_scalar(scalar)
     _assert_equivalent(scalar, batch, _io_mix(SMALL_GEOMETRY, seed=17))
+
+
+@pytest.mark.parametrize("profile", ["memoright", "samsung"])
+def test_hybrid_default_capacity_scalar_batch_identical(profile):
+    """Full-size hybrid devices: physical page numbers past int16.
+
+    A sequential fill cycles the free-block FIFO once, so the random
+    writes that follow open their logs in blocks past ``32767 / ppb``
+    and the reads hit logged pages there.
+    """
+    scalar = build_device(profile)
+    batch = build_device(profile)
+    _force_scalar(scalar)
+    geometry = scalar.geometry
+    ppb = geometry.pages_per_block
+    rng = np.random.default_rng(3)
+    ios = [("w", lba, 4 * MIB) for lba in range(0, geometry.logical_bytes, 4 * MIB)]
+    for _ in range(150):
+        lba = int(rng.integers(0, geometry.logical_bytes // (32 * KIB))) * 32 * KIB
+        ios.append(("w", lba, 32 * KIB))
+        ios.append(("r", lba, 32 * KIB))
+        ios.append(("r", max(0, lba - 16 * KIB), 64 * KIB))
+    _assert_equivalent(scalar, batch, ios)
+    ftl = batch.ftl
+    logs = [*ftl._open_seq.values(), *ftl._open_rnd.values(), *ftl._pending]
+    assert max(log.pblock for log in logs) * ppb > np.iinfo(np.int16).max
+
+
+def test_scalar_mode_never_takes_run_paths(monkeypatch):
+    """``batch_enabled = False`` keeps every IO on the per-page path."""
+    device = build_device("samsung", logical_bytes=4 * MIB)
+    _force_scalar(device)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a run path ran with batch_enabled off")
+
+    for owner, name in (
+        (device.chip, "read_run"),
+        (device.chip, "program_run"),
+        (device.controller.cache, "read_run"),
+        (device.controller.cache, "write_run"),
+    ):
+        monkeypatch.setattr(owner, name, forbidden)
+    _run_mix(device, _io_mix(device.geometry))
 
 
 def test_background_gc_scalar_batch_identical():

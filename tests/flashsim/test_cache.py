@@ -1,10 +1,15 @@
 """RAM write-back cache: hits, LRU groups, destage hysteresis, flush."""
 
+import hypothesis.strategies as st
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.errors import FTLError
 from repro.flashsim.cache import WriteBackCache
 from repro.flashsim.timing import CostAccumulator
+
+from ..conftest import SMALL_GEOMETRY
 
 PPB = 8
 
@@ -104,3 +109,66 @@ def test_capacity_validation(geometry):
         WriteBackCache(geometry, geometry.page_size, low_watermark=0.0)
     with pytest.raises(FTLError):
         WriteBackCache(geometry, geometry.page_size, low_watermark=1.5)
+
+
+# ----------------------------------------------------------------------
+# run forms vs the per-page loop
+# ----------------------------------------------------------------------
+
+
+class _RecordingFTL:
+    """Stands in for the FTL under a destage: records each group."""
+
+    def __init__(self) -> None:
+        self.groups: list = []
+
+    def write_pages(self, items, cost) -> None:
+        self.groups.append(list(items))
+
+
+def _cache_state(cache):
+    return (
+        [(lblock, sorted(group.items())) for lblock, group in cache._groups.items()],
+        cache.dirty_pages,
+        cache.hits,
+        cache.misses,
+        cache.destaged_groups,
+        cache.destaged_pages,
+    )
+
+
+_cache_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["w", "r"]), st.integers(0, 63), st.integers(1, 3 * PPB)
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=_cache_ops)
+def test_run_forms_match_per_page_loop(ops):
+    per_page, runs = (
+        WriteBackCache(SMALL_GEOMETRY, 16 * SMALL_GEOMETRY.page_size, low_watermark=0.75)
+        for _ in range(2)
+    )
+    per_page_ftl, runs_ftl = _RecordingFTL(), _RecordingFTL()
+    for step, (mode, start, count) in enumerate(ops):
+        pages = range(start, min(start + count, 64))
+        if mode == "w":
+            tokens = np.arange(1, len(pages) + 1, dtype=np.int64) + 100 * step
+            for lpage, token in zip(pages, tokens.tolist()):
+                per_page.write(lpage, token)
+            runs.write_run(start, tokens)
+            per_page.destage_if_needed(per_page_ftl, CostAccumulator())
+            runs.destage_if_needed(runs_ftl, CostAccumulator())
+        else:
+            expected = {
+                i: token
+                for i, lpage in enumerate(pages)
+                if (token := per_page.read(lpage)) is not None
+            }
+            assert runs.read_run(start, len(pages)) == expected
+        assert _cache_state(runs) == _cache_state(per_page)
+        assert runs_ftl.groups == per_page_ftl.groups
