@@ -43,13 +43,13 @@ def main() -> None:
 
     # serialise the captured trace exactly as the paper publishes runs
     run = Engine(source).run(workload)
-    rows = IOTrace.parse_csv(run.trace.to_csv())
-    original_span = rows[-1].completed_at - rows[0].submitted_at
+    trace = IOTrace.from_csv(run.trace.to_csv())
+    original_span = trace[-1].completed_at - trace[0].submitted_at
 
     table = []
     for name in TARGETS:
         device = prepare(name)
-        result = replay(device, rows, mode=ReplayMode.CLOSED_LOOP)
+        result = replay(device, trace, mode=ReplayMode.CLOSED_LOOP)
         table.append(
             (
                 name,

@@ -498,12 +498,12 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     from repro.core.replay import ReplayMode, remap_rows, replay
     from repro.flashsim.trace import IOTrace
 
+    trace = IOTrace.load_csv(args.trace)  # a bad file fails before enforcement
     device = _build_ready_device(args)
-    rows = IOTrace.load_csv(args.trace)
     if args.remap:
-        rows = remap_rows(rows, device.capacity, device.geometry.block_size)
+        trace = remap_rows(trace, device.capacity, device.geometry.block_size)
     mode = ReplayMode.TIMED if args.timed else ReplayMode.CLOSED_LOOP
-    result = replay(device, rows, mode=mode, io_ignore=args.ignore)
+    result = replay(device, trace, mode=mode, io_ignore=args.ignore)
     print(
         f"replayed {len(result.trace)} IOs on {device.name} "
         f"({result.mode.value}): {result.stats.summary()}"

@@ -5,16 +5,16 @@ captured sufficiently well to guarantee given bounds for the confidence
 interval, while minimizing the IOs issued*.
 
 :func:`autotune_run` executes a pattern incrementally against a device
-— one generator, pulled in chunks — re-detecting the two phases after
-each chunk and stopping as soon as the running-phase mean's confidence
-interval is tight enough (or a hard IO budget is hit).  It returns the
+— one precomputed program, run in chunks — re-detecting the two phases
+after each chunk and stopping as soon as the running-phase mean's
+confidence interval is tight enough (or a hard IO budget is hit).  It returns the
 tuned ``(io_ignore, io_count)`` with the measurements, so a benchmark
 plan can reuse them for every run of the same reference pattern.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from repro.core.phases import PhaseAnalysis, detect_phases
 from repro.core.stats import RunStats, summarize
 from repro.errors import AnalysisError
 from repro.flashsim.device import FlashDevice
+from repro.flashsim.host import SyncHost
 
 #: z-score for the default 95% confidence level
 _Z95 = 1.96
@@ -115,21 +116,30 @@ def autotune_run(
     available = device.capacity - spec.target_offset - spec.io_shift
     span = min(span, (available // spec.io_size) * spec.io_size)
     long_spec = spec.with_(io_count=max_ios, io_ignore=0, target_size=span)
-    start = device.busy_until
-    generator = PatternGenerator(long_spec, start_at=start)
+    program = PatternGenerator(long_spec).program()
+    host = SyncHost(device)
 
     responses: list[float] = []
     chunks = 0
-    previous = None
-    exhausted = False
-    while len(responses) < max_ios and not exhausted:
-        for __ in range(min(chunk, max_ios - len(responses))):
-            request = generator(previous)
-            if request is None:
-                exhausted = True
-                break
-            previous = device.submit(request, max(request.scheduled_at, start))
-            responses.append(previous.response_usec)
+    clock = device.busy_until
+    while len(responses) < max_ios:
+        lo = len(responses)
+        hi = min(lo + chunk, max_ios)
+        # Table 1's recurrence across the chunk boundary: the chunk's
+        # first IO submits at the previous completion plus its gap
+        start_at = clock + program.gaps[lo] if lo else clock
+        trace = host.run_program(
+            replace(
+                program,
+                lbas=program.lbas[lo:hi],
+                sizes=program.sizes[lo:hi],
+                writes=program.writes[lo:hi],
+                gaps=program.gaps[lo:hi],
+            ),
+            start_at=float(start_at),
+        )
+        clock = float(trace.column("completed_at")[-1])
+        responses.extend(trace.response_times().tolist())
         chunks += 1
 
         values = np.asarray(responses)

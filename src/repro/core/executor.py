@@ -124,10 +124,6 @@ class Observe:
     attribution: bool = False
 
 
-#: the default: no observability channels recorded
-OBSERVE_NOTHING = Observe()
-
-
 # ----------------------------------------------------------------------
 # cells
 # ----------------------------------------------------------------------
@@ -695,7 +691,6 @@ class SchedulerStats:
     segments_published: int = 0
     bytes_shipped: int = 0
     bytes_saved: int = 0
-    prepared_evicted: int = 0
 
     def as_dict(self) -> dict[str, int]:
         """The stats as a plain dict (benchmark/report serialization)."""
@@ -710,7 +705,6 @@ _SCHED_COUNTERS = {
     "segments_published": "core.executor.snapshot_segments",
     "bytes_shipped": "core.executor.snapshot_bytes_shipped",
     "bytes_saved": "core.executor.snapshot_bytes_saved",
-    "prepared_evicted": "core.executor.prepared_evicted",
 }
 
 
@@ -754,10 +748,6 @@ class CampaignExecutor:
     flight recorder to every cell device so the traces carry exact
     per-IO latency-attribution columns (implies ``keep_traces``; cache
     entries without attribution are likewise re-run).
-
-    ``max_states`` bounds both the executor's prepared-group memo and
-    its :class:`StatePool` to that many enforced states (LRU); evicted
-    groups re-enforce if they come back.
     """
 
     def __init__(
@@ -770,7 +760,6 @@ class CampaignExecutor:
         keep_traces: bool = False,
         attribution: bool = False,
         pipeline_prepare: bool = True,
-        max_states: int | None = None,
     ) -> None:
         if jobs < 1:
             raise ExperimentError("jobs must be >= 1")
@@ -781,12 +770,9 @@ class CampaignExecutor:
         self.attribution = attribution
         self.keep_traces = keep_traces or attribution
         self.pipeline_prepare = pipeline_prepare
-        self.max_states = max_states
-        self._pool = (
-            state_pool if state_pool is not None else StatePool(max_states=max_states)
-        )
+        self._pool = state_pool if state_pool is not None else StatePool()
         self._store: SnapshotStore | None = None
-        self._prepared: "OrderedDict[tuple, _PreparedGroup]" = OrderedDict()
+        self._prepared: dict[tuple, _PreparedGroup] = {}
         #: what the dispatcher did, accumulated across execute() calls
         self.sched = SchedulerStats()
 
@@ -807,30 +793,6 @@ class CampaignExecutor:
             return device.capacity, state.snapshot, state.fingerprint
         return device.capacity, device.snapshot(), device.fingerprint()
 
-    def _remember_group(
-        self, group: tuple, prep: _PreparedGroup, protect: frozenset = frozenset()
-    ) -> None:
-        """Memoize a prepared group, evicting past ``max_states`` (LRU).
-
-        Groups in ``protect`` (those with cells in flight) are never
-        evicted; an evicted group's shared-memory segment is unlinked.
-        """
-        self._prepared[group] = prep
-        self._prepared.move_to_end(group)
-        if self.max_states is None:
-            return
-        while len(self._prepared) > self.max_states:
-            victim = next(
-                (g for g in self._prepared if g not in protect and g != group),
-                None,
-            )
-            if victim is None:
-                break
-            old = self._prepared.pop(victim)
-            if old.segment is not None and self._store is not None:
-                self._store.discard(old.fingerprint)
-            self.sched.prepared_evicted += 1
-
     def _prepared_group(self, cell: CampaignCell, report) -> _PreparedGroup:
         """The cell's group with an in-process snapshot, preparing on miss.
 
@@ -842,7 +804,6 @@ class CampaignExecutor:
         group = (cell.profile, cell.capacity)
         prep = self._prepared.get(group)
         if prep is not None:
-            self._prepared.move_to_end(group)
             if prep.snapshot is None and self._store is not None:
                 prep.snapshot = self._store.fetch(prep.fingerprint)
             if prep.snapshot is None:
@@ -856,7 +817,7 @@ class CampaignExecutor:
             prep = _PreparedGroup(
                 capacity=capacity, fingerprint=fingerprint, snapshot=snapshot
             )
-            self._remember_group(group, prep)
+            self._prepared[group] = prep
         return prep
 
     def _publish_group(self, prep: _PreparedGroup) -> None:
@@ -1034,7 +995,6 @@ class CampaignExecutor:
         if self._store is None:
             self._store = SnapshotStore()
         token = self._store.token
-        protect = frozenset(groups)
         workers = min(self.jobs, len(cells))
         with ProcessPoolExecutor(
             max_workers=workers, mp_context=_pool_context()
@@ -1081,7 +1041,6 @@ class CampaignExecutor:
                 if prep is not None and (
                     prep.segment is not None or prep.snapshot is not None
                 ):
-                    self._prepared.move_to_end(group)
                     self._publish_group(prep)
                     dispatch_group(group)
                 elif self.pipeline_prepare:
@@ -1122,7 +1081,7 @@ class CampaignExecutor:
                                 prep.fingerprint, prep.segment, prep.packed_bytes
                             )
                             self.sched.segments_published += 1
-                        self._remember_group(group, prep, protect)
+                        self._prepared[group] = prep
                         dispatch_group(group)
                     else:
                         index, cell, key = cell_futures.pop(future)
@@ -1189,7 +1148,6 @@ __all__ = [
     "CampaignExecutor",
     "CellOutcome",
     "Observe",
-    "OBSERVE_NOTHING",
     "RunCache",
     "SchedulerStats",
     "merge_outcome_metrics",

@@ -1,4 +1,4 @@
-"""Pattern generators: specs -> feedback-driven IO request streams.
+"""Pattern generators: specs -> precomputed IO programs.
 
 The submit time of IO ``i`` depends on the *response time* of IO
 ``i-1`` (Table 1: ``t(IOi) = t(IOi-1) + rt(IOi-1) [+ pauses]``), so a
@@ -7,9 +7,8 @@ irreducibly per-IO.  Everything *else* is not: the random slot draws,
 the LBA formula and the inter-IO gaps depend only on the index, so the
 generators pre-draw the whole run in one batch at construction and
 expose the result as an :class:`IOProgram` of columns, which the hosts'
-program runners consume directly.  :class:`PatternGenerator` also
-yields the same IOs one request at a time, for callers that decide
-after every IO whether to continue (adaptive IO counts).
+program runners consume directly (callers that decide as they go how
+many IOs to run, like adaptive IO counts, run slices of one program).
 
 The RNG is ``random.Random(seed)`` exactly as before — pre-drawing
 consumes the same stream in the same order, so every simulated
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.patterns import LocationKind, MixSpec, PatternSpec
-from repro.iotypes import CompletedIO, IORequest, Mode
+from repro.iotypes import Mode
 
 
 @dataclass(frozen=True)
@@ -58,15 +57,10 @@ def _pre_draw(seed: int, slots: int, count: int) -> list[int]:
 
 
 class PatternGenerator:
-    """Generates the requests of one basic pattern.
+    """Generates the IO program of one basic pattern."""
 
-    Instances are single-use: one generator drives one run.
-    """
-
-    def __init__(self, spec: PatternSpec, start_at: float = 0.0) -> None:
+    def __init__(self, spec: PatternSpec) -> None:
         self.spec = spec
-        self.start_at = start_at
-        self._index = 0
         count = spec.io_count
         draws = None
         if spec.location is LocationKind.RANDOM:
@@ -81,35 +75,10 @@ class PatternGenerator:
             gaps=spec.gap_array(count),
             queue_depth=spec.queue_depth,
         )
-        self._lbas = lbas.tolist()
-        self._gaps = self._program.gaps.tolist()
 
     def program(self) -> IOProgram:
         """The precomputed columns of the whole run."""
         return self._program
-
-    def __call__(self, previous: CompletedIO | None) -> IORequest | None:
-        spec = self.spec
-        if self._index >= spec.io_count:
-            return None
-        index = self._index
-        self._index += 1
-        if previous is None:
-            scheduled = self.start_at
-        else:
-            scheduled = previous.completed_at + self._gaps[index]
-        return IORequest(
-            index=index,
-            lba=self._lbas[index],
-            size=spec.io_size,
-            mode=spec.mode,
-            scheduled_at=scheduled,
-        )
-
-    @property
-    def issued(self) -> int:
-        """Requests produced so far."""
-        return self._index
 
 
 class MixGenerator:

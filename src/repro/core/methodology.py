@@ -16,16 +16,16 @@ reproduce (scaled for the simulated capacities).
 from __future__ import annotations
 
 import random
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.core.generator import IOProgram
 from repro.core.patterns import PatternSpec
 from repro.flashsim import analytic
 from repro.flashsim.device import FlashDevice
-from repro.iotypes import IORequest, Mode
+from repro.flashsim.host import SyncHost
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing as obs_tracing
 from repro.units import SECTOR
@@ -65,15 +65,15 @@ def enforce_random_state(
     fresh target spaces instead of re-enforcing.
 
     The write stream is RNG-driven, not response-driven, so the whole
-    (size, lba) sequence is pre-drawn into columns and handed to the
-    closed-form write kernel (:func:`repro.flashsim.analytic.write_window`):
-    GC-free prefixes evaluate in one vectorized pass, and once the free
-    pool reaches steady state the GC-epoch kernel absorbs the rest of
-    the stream — closed-form appends between collections, the real
-    relocation step at each watermark — so page-map and block-map
-    enforcement runs end-to-end analytic.  Devices the kernels do not
-    cover (hybrid/FAST families, caches, wear levelling, fault
-    injection) fall back to the per-IO ``submit`` path below.
+    (size, lba) sequence is pre-drawn into one zero-gap write program
+    and run by :meth:`~repro.flashsim.host.SyncHost.run_program`.  On
+    page-map and block-map devices that means the closed-form write
+    kernels (:mod:`repro.flashsim.analytic`): GC-free prefixes evaluate
+    in one vectorized pass, and once the free pool reaches steady state
+    the GC-epoch kernel absorbs the rest of the stream, so enforcement
+    runs end-to-end analytic.  Devices the kernels do not cover
+    (hybrid/FAST families, caches, wear levelling, fault injection) run
+    the host's per-IO loop.
     """
     if coverage <= 0:
         raise ValueError("coverage must be positive")
@@ -90,32 +90,7 @@ def enforce_random_state(
         lbas.append(rng.randrange(0, max_lba + 1, SECTOR))
         sizes.append(size)
         written += size
-    count = len(sizes)
-    size_col = np.asarray(sizes, dtype=np.int64)
-    lba_col = np.asarray(lbas, dtype=np.int64)
-    now = device.busy_until
-    start = now
-    index = 0
-    while index < count:
-        done, now = analytic.write_window(
-            device, lba_col[index:], size_col[index:], now
-        )
-        if done:
-            index += done
-        else:
-            completed = device.submit(
-                IORequest(index, lbas[index], sizes[index], Mode.WRITE), now
-            )
-            now = completed.completed_at
-            index += 1
-    device.drain()
-    return StateReport(
-        method="random",
-        io_count=count,
-        bytes_written=written,
-        elapsed_usec=now - start,
-        mean_io_usec=(now - start) / count if count else 0.0,
-    )
+    return _run_writes(device, "random", lbas, sizes)
 
 
 def enforce_sequential_state(
@@ -124,24 +99,33 @@ def enforce_sequential_state(
     """Enforce a sequential initial state (the faster but less stable
     alternative discussed in Section 4.1): one sequential pass over the
     whole device."""
-    geometry = device.geometry
-    now = device.busy_until
-    start = now
-    count = 0
-    lba = 0
-    while lba < geometry.logical_bytes:
-        size = min(io_size, geometry.logical_bytes - lba)
-        completed = device.submit(IORequest(count, lba, size, Mode.WRITE), now)
-        now = completed.completed_at
-        lba += size
-        count += 1
+    logical = device.geometry.logical_bytes
+    lbas = np.arange(0, logical, io_size, dtype=np.int64)
+    sizes = np.minimum(io_size, logical - lbas)
+    return _run_writes(device, "sequential", lbas, sizes)
+
+
+def _run_writes(device: FlashDevice, method: str, lbas, sizes) -> StateReport:
+    """Write ``lbas``/``sizes`` back to back from the device's idle
+    point, then let all deferred reclamation complete (the one-off
+    enforcement is followed by ample idle time in practice)."""
+    count = len(lbas)
+    program = IOProgram(
+        lbas=np.asarray(lbas, dtype=np.int64),
+        sizes=np.asarray(sizes, dtype=np.int64),
+        writes=np.ones(count, dtype=np.bool_),
+        gaps=np.zeros(count, dtype=np.float64),
+    )
+    start = device.busy_until
+    trace = SyncHost(device).run_program(program, start_at=start)
+    end = float(trace.column("completed_at")[-1]) if count else start
     device.drain()
     return StateReport(
-        method="sequential",
+        method=method,
         io_count=count,
-        bytes_written=geometry.logical_bytes,
-        elapsed_usec=now - start,
-        mean_io_usec=(now - start) / count if count else 0.0,
+        bytes_written=int(program.sizes.sum()),
+        elapsed_usec=end - start,
+        mean_io_usec=(end - start) / count if count else 0.0,
     )
 
 
@@ -171,23 +155,12 @@ class StatePool:
     capacity, method, coverage, seed); the first :meth:`ensure` for a
     key pays for the full fill, every later call restores the snapshot —
     the same reproducible state at constant cost.
-
-    ``max_states`` bounds the pool to that many memoized states
-    (least-recently-used eviction): long multi-profile or aging
-    campaigns touch many distinct states, and each holds a full device
-    snapshot.  Evicted states simply re-enforce if they come back;
-    :attr:`evictions` (mirrored as ``core.state_pool.evictions``)
-    counts how often that safety valve fired.
     """
 
-    def __init__(self, max_states: int | None = None) -> None:
-        if max_states is not None and max_states < 1:
-            raise ValueError("max_states must be >= 1 (or None for unbounded)")
-        self.max_states = max_states
-        self._states: "OrderedDict[tuple, EnforcedState]" = OrderedDict()
+    def __init__(self) -> None:
+        self._states: dict[tuple, EnforcedState] = {}
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
 
     def __len__(self) -> int:
         return len(self._states)
@@ -210,7 +183,6 @@ class StatePool:
         registry = obs_metrics.current()
         if state is not None:
             self.hits += 1
-            self._states.move_to_end(key)
             if registry is not None:
                 registry.counter("core.state_pool.hits").inc()
             device.restore(state.snapshot)
@@ -241,12 +213,6 @@ class StatePool:
         if registry is not None:
             analytic.publish_stats(registry, baseline)
         self._states[key] = state
-        if self.max_states is not None:
-            while len(self._states) > self.max_states:
-                self._states.popitem(last=False)
-                self.evictions += 1
-                if registry is not None:
-                    registry.counter("core.state_pool.evictions").inc()
         return state
 
 

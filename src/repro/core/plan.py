@@ -11,7 +11,7 @@ only sequential writes disturb it.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Union
 
 from repro.core.experiment import (
@@ -122,25 +122,25 @@ class TargetAllocator:
                 base=spec.base.with_(target_offset=offset),
                 parallel_degree=spec.parallel_degree,
             )
-        if isinstance(spec, MixSpec):
-            primary, secondary = spec.primary, spec.secondary
-            if needs_fresh_space(primary):
-                offset = self.try_allocate(primary.target_size + primary.io_shift)
-                if offset is None:
-                    return None
-                primary = primary.with_(target_offset=offset)
-            if needs_fresh_space(secondary):
-                offset = self.try_allocate(secondary.target_size + secondary.io_shift)
-                if offset is None:
-                    return None
-                secondary = secondary.with_(target_offset=offset)
-            return MixSpec(
-                primary=primary,
-                secondary=secondary,
-                ratio=spec.ratio,
-                io_count=spec.io_count,
-                io_ignore=spec.io_ignore,
-            )
+        if isinstance(spec, (MixSpec, ParallelMixSpec)):
+            # one footprint for the whole mix, its components laid out
+            # one after another inside it: moving only the component
+            # that needs fresh space could land it on the other's range
+            offset = self.try_allocate(spec_footprint(spec))
+            if offset is None:
+                return None
+            is_mix = isinstance(spec, MixSpec)
+            placed = []
+            for component in (
+                (spec.primary, spec.secondary) if is_mix else spec.components
+            ):
+                placed.append(
+                    component.with_(target_offset=offset, label=component.label)
+                )
+                offset += spec_footprint(component)
+            if is_mix:
+                return replace(spec, primary=placed[0], secondary=placed[1])
+            return replace(spec, components=tuple(placed))
         raise PlanError(f"cannot place spec of type {type(spec).__name__}")
 
 

@@ -16,13 +16,15 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
+import numpy as np
+
+from repro.core.generator import IOProgram
 from repro.core.stats import RunStats, summarize
 from repro.errors import AnalysisError
 from repro.flashsim.device import FlashDevice
-from repro.flashsim.trace import IOTrace, TraceRow
-from repro.iotypes import IORequest, Mode
+from repro.flashsim.host import SyncHost
+from repro.flashsim.trace import IOTrace
 
 
 class ReplayMode(enum.Enum):
@@ -54,61 +56,62 @@ class ReplayResult:
         return self.original_span_usec / self.replay_span_usec
 
 
-def _requests_from_rows(rows: Sequence[TraceRow]) -> list[IORequest]:
-    if not rows:
-        raise AnalysisError("cannot replay an empty trace")
-    origin = rows[0].submitted_at
-    return [
-        IORequest(
-            index=position,
-            lba=row.lba,
-            size=row.size,
-            mode=row.mode,
-            scheduled_at=row.submitted_at - origin,
-        )
-        for position, row in enumerate(rows)
-    ]
-
-
 def replay(
     device: FlashDevice,
-    rows: Sequence[TraceRow],
+    trace: IOTrace,
     mode: ReplayMode = ReplayMode.CLOSED_LOOP,
     io_ignore: int = 0,
 ) -> ReplayResult:
-    """Replay ``rows`` against ``device``.
+    """Replay ``trace`` against ``device``.
+
+    A closed-loop replay is a zero-gap program run by
+    :meth:`~repro.flashsim.host.SyncHost.run_program`; a timed replay
+    submits each IO at its recorded offset from the first one (an
+    open-loop arrival process the synchronous host cannot express).
 
     Every replayed extent must fit the target device; replaying a trace
     captured on a bigger device onto a smaller one raises (remap the
     LBAs first if that is what you want).
     """
-    requests = _requests_from_rows(rows)
-    for request in requests:
-        if request.lba + request.size > device.capacity:
-            raise AnalysisError(
-                f"trace extent [{request.lba}, +{request.size}) exceeds the "
-                f"target device's capacity {device.capacity}"
-            )
+    count = len(trace)
+    if not count:
+        raise AnalysisError("cannot replay an empty trace")
+    lbas = trace.column("lba")
+    sizes = trace.column("size")
+    writes = trace.column("write")
+    oversized = np.flatnonzero(lbas + sizes > device.capacity)
+    if oversized.size:
+        first = oversized[0]
+        raise AnalysisError(
+            f"trace extent [{lbas[first]}, +{sizes[first]}) exceeds the "
+            f"target device's capacity {device.capacity}"
+        )
+    submitted = trace.column("submitted_at")
     start = device.busy_until
-    out = IOTrace()
-    now = start
-    for request in requests:
-        if mode is ReplayMode.TIMED:
-            submit_at = max(start + request.scheduled_at, start)
-        else:
-            submit_at = now
-        completed = device.submit(request, submit_at)
-        out.append(completed)
-        now = completed.completed_at
-    stats = summarize(out.response_times(), io_ignore)
-    original_span = rows[-1].completed_at - rows[0].submitted_at
-    replay_span = out[-1].completed_at - out[0].submitted_at
+    if mode is ReplayMode.TIMED:
+        out = IOTrace(capacity=count)
+        offsets = (submitted - submitted[0]).tolist()
+        for row, (lba, size, write, offset) in enumerate(
+            zip(lbas.tolist(), sizes.tolist(), writes.tolist(), offsets)
+        ):
+            scheduled = start + offset
+            device.submit_into(
+                out, row, lba, size, write, max(scheduled, start), scheduled
+            )
+    else:
+        program = IOProgram(
+            lbas=lbas, sizes=sizes, writes=writes,
+            gaps=np.zeros(count, dtype=np.float64),
+        )
+        out = SyncHost(device).run_program(program, start_at=start)
     return ReplayResult(
         mode=mode,
         trace=out,
-        stats=stats,
-        original_span_usec=original_span,
-        replay_span_usec=replay_span,
+        stats=summarize(out.response_times(), io_ignore),
+        original_span_usec=float(trace.column("completed_at")[-1] - submitted[0]),
+        replay_span_usec=float(
+            out.column("completed_at")[-1] - out.column("submitted_at")[0]
+        ),
     )
 
 
@@ -122,9 +125,7 @@ def replay_csv(
     return replay(device, IOTrace.load_csv(path), mode=mode, io_ignore=io_ignore)
 
 
-def remap_rows(
-    rows: Sequence[TraceRow], target_capacity: int, align: int
-) -> list[TraceRow]:
+def remap_rows(trace: IOTrace, target_capacity: int, align: int) -> IOTrace:
     """Fold a trace's LBAs into a smaller target capacity.
 
     Extents are wrapped modulo the largest ``align``-aligned prefix of
@@ -135,28 +136,10 @@ def remap_rows(
     if target_capacity < align or align <= 0:
         raise AnalysisError("target capacity must hold at least one aligned unit")
     usable = (target_capacity // align) * align
-    remapped = []
-    for row in rows:
-        size = min(row.size, usable)
-        lba = row.lba % usable
-        if lba + size > usable:
-            lba = usable - size
-        remapped.append(
-            TraceRow(
-                index=row.index,
-                mode=row.mode,
-                lba=lba,
-                size=size,
-                submitted_at=row.submitted_at,
-                started_at=row.started_at,
-                completed_at=row.completed_at,
-                response_usec=row.response_usec,
-                page_reads=row.page_reads,
-                page_programs=row.page_programs,
-                copy_reads=row.copy_reads,
-                copy_programs=row.copy_programs,
-                block_erases=row.block_erases,
-                notes=row.notes,
-            )
-        )
-    return remapped
+    sizes = np.minimum(trace.column("size"), usable)
+    lbas = trace.column("lba") % usable
+    lbas = np.where(lbas + sizes > usable, usable - sizes, lbas)
+    payload = trace.to_payload()
+    payload["lba"] = lbas.tolist()
+    payload["size"] = sizes.tolist()
+    return IOTrace.from_payload(payload)

@@ -58,7 +58,7 @@ from repro.flashsim.recorder import (
     summarize_components,
 )
 from repro.flashsim.timing import MLC_TIMING, SLC_TIMING, CostAccumulator, TimingSpec
-from repro.flashsim.trace import ATTRIBUTION_COLUMNS, IOTrace, TraceRow
+from repro.flashsim.trace import ATTRIBUTION_COLUMNS, IOTrace
 from repro.flashsim.wear import (
     LifetimeProjection,
     WearReport,
@@ -107,7 +107,6 @@ __all__ = [
     "SyncHost",
     "TABLE3_PROFILES",
     "TimingSpec",
-    "TraceRow",
     "WearReport",
     "WriteBackCache",
     "build_device",

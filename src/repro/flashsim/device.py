@@ -404,11 +404,12 @@ class FlashDevice:
 
         The hot-path equivalent of :meth:`submit` used by the hosts'
         program runners: no :class:`~repro.iotypes.IORequest` /
-        :class:`~repro.iotypes.CompletedIO` objects are built, the row
-        lands in ``trace`` as scalars.  Returns the completion time.
+        :class:`~repro.iotypes.CompletedIO` objects are built, the IO
+        lands in ``trace`` as scalars at row ``index``.  Returns the
+        completion time.
         """
         start, completion, cost = self._service(lba, size, write, now)
-        trace.record(
+        trace.record_at(
             index, lba, size, write, scheduled_at, now, start, completion, cost
         )
         return completion

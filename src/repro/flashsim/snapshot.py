@@ -444,7 +444,7 @@ class SnapshotStore:
                     pass
 
     def discard(self, fingerprint: str) -> None:
-        """Unlink one fingerprint's segment (store-bound memory caps)."""
+        """Unlink one fingerprint's segment before the store closes."""
         name = self._by_fingerprint.pop(fingerprint, None)
         if name is None:
             return

@@ -10,26 +10,26 @@ published tens of millions of data points this way).
 Storage is columnar: one preallocated numpy array per field (geometric
 growth), with cost notes in a sparse ``{row: [note, ...]}`` dict since
 notes are rare.  The hot path appends scalars straight into the arrays
-(:meth:`IOTrace.record`); analysis reads whole columns
+(:meth:`IOTrace.record_at`); analysis reads whole columns
 (:meth:`IOTrace.response_times` returns a cached ndarray).  Row access
 stays compatible with the legacy object-backed trace: ``trace[i]`` and
 iteration build :class:`~repro.iotypes.CompletedIO` views on demand,
 and a row view's ``cost.notes`` list is shared with the trace so
-``trace[i].cost.note(...)`` persists.  Pickling packs the columns as
-raw buffers (:func:`_trace_from_packed`), which is what keeps process-
-pool transfers and run-cache entries small.
+``trace[i].cost.note(...)`` persists.  Traces cross process and disk
+boundaries as :meth:`IOTrace.to_payload` JSON or :meth:`IOTrace.to_csv`
+text; :meth:`IOTrace.from_csv` is the one CSV reader.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
 
+from repro.errors import AnalysisError
 from repro.flashsim.timing import CostAccumulator
 from repro.iotypes import CompletedIO, IORequest, Mode
 
@@ -50,7 +50,7 @@ _FIELDS = (
     "notes",
 )
 
-#: column name -> dtype, in packing order (pickle / payload format)
+#: column name -> dtype, in payload order
 _COLUMNS = (
     ("index", np.int64),
     ("lba", np.int64),
@@ -139,26 +139,6 @@ def _quote_csv_field(field: str) -> str:
     return field
 
 
-@dataclass(frozen=True)
-class TraceRow:
-    """One archived IO (a parsed CSV row)."""
-
-    index: int
-    mode: Mode
-    lba: int
-    size: int
-    submitted_at: float
-    started_at: float
-    completed_at: float
-    response_usec: float
-    page_reads: int
-    page_programs: int
-    copy_reads: int
-    copy_programs: int
-    block_erases: int
-    notes: tuple[str, ...]
-
-
 class IOTrace:
     """An append-only, column-backed sequence of completed IOs."""
 
@@ -200,60 +180,6 @@ class IOTrace:
     # recording
     # ------------------------------------------------------------------
 
-    def record(
-        self,
-        index: int,
-        lba: int,
-        size: int,
-        write: bool,
-        scheduled_at: float,
-        submitted_at: float,
-        started_at: float,
-        completed_at: float,
-        cost: CostAccumulator,
-    ) -> None:
-        """Append one completed IO as scalars (the hot recording path).
-
-        ``cost`` counters are copied into the columns; its ``notes``
-        list (when non-empty) is stored *by reference*, so later
-        ``cost.note(...)`` calls remain visible through row views.
-        """
-        row = self._n
-        if row >= self._capacity:
-            self._grow(row + 1)
-        self._index[row] = index
-        self._lba[row] = lba
-        self._size[row] = size
-        if write:
-            self._write[row] = True
-        self._scheduled_at[row] = scheduled_at
-        self._submitted_at[row] = submitted_at
-        self._started_at[row] = started_at
-        self._completed_at[row] = completed_at
-        # cost columns are zero-initialised; only store non-zero tallies
-        if cost.page_reads:
-            self._page_reads[row] = cost.page_reads
-        if cost.page_programs:
-            self._page_programs[row] = cost.page_programs
-        if cost.copy_reads:
-            self._copy_reads[row] = cost.copy_reads
-        if cost.copy_programs:
-            self._copy_programs[row] = cost.copy_programs
-        if cost.block_erases:
-            self._block_erases[row] = cost.block_erases
-        if cost.bytes_transferred:
-            self._bytes_transferred[row] = cost.bytes_transferred
-        if cost.map_misses:
-            self._map_misses[row] = cost.map_misses
-        if cost.extra_usec:
-            self._extra_usec[row] = cost.extra_usec
-        if cost.notes:
-            self._notes[row] = cost.notes
-        if cost.attribution is not None:
-            self._record_attr(row, cost.attribution)
-        self._n = row + 1
-        self._response_cache = None
-
     def record_at(
         self,
         row: int,
@@ -265,15 +191,21 @@ class IOTrace:
         started_at: float,
         completed_at: float,
         cost: CostAccumulator,
+        index: int | None = None,
     ) -> None:
-        """Record one completed IO at an explicit ``row``.
+        """Record one completed IO as scalars at ``row`` (the hot
+        recording path); its ``index`` column is ``row`` unless given.
 
-        The async host's completions arrive out of submission order;
-        writing each at ``row = submission index`` keeps the trace in
-        submission order regardless of the completion interleaving, so
-        analysis and CSV output are independent of dispatch timing.
+        The hosts record each IO at ``row = submission index``: the
+        synchronous loops in order, the async host as completions pop
+        out of order — either way the trace ends up in submission order,
+        so analysis and CSV output are independent of dispatch timing.
         Each row must be recorded exactly once (columns are
         zero-initialised, not cleared on re-record).
+
+        ``cost`` counters are copied into the columns; its ``notes``
+        list (when non-empty) is stored *by reference*, so later
+        ``cost.note(...)`` calls remain visible through row views.
         """
         if row < 0:
             raise IndexError("trace row must be non-negative")
@@ -281,7 +213,7 @@ class IOTrace:
             self._grow(row + 1)
         if row >= self._n:
             self._n = row + 1
-        self._index[row] = row
+        self._index[row] = row if index is None else index
         self._lba[row] = lba
         self._size[row] = size
         if write:
@@ -290,6 +222,7 @@ class IOTrace:
         self._submitted_at[row] = submitted_at
         self._started_at[row] = started_at
         self._completed_at[row] = completed_at
+        # cost columns are zero-initialised; only store non-zero tallies
         if cost.page_reads:
             self._page_reads[row] = cost.page_reads
         if cost.page_programs:
@@ -393,10 +326,11 @@ class IOTrace:
         self._attr[row] = attribution
 
     def append(self, completed: CompletedIO) -> None:
-        """Record one completed IO (legacy object-based protocol)."""
+        """Record one completed IO as the next row, keeping its
+        request's index (legacy object-based protocol)."""
         request = completed.request
-        self.record(
-            request.index,
+        self.record_at(
+            self._n,
             request.lba,
             request.size,
             request.mode is Mode.WRITE,
@@ -405,6 +339,7 @@ class IOTrace:
             completed.started_at,
             completed.completed_at,
             completed.cost,
+            index=request.index,
         )
 
     def extend(self, completed: Iterable[CompletedIO]) -> None:
@@ -584,32 +519,6 @@ class IOTrace:
             Path(path).write_text(text)
         return text
 
-    @staticmethod
-    def parse_csv(text: str) -> list[TraceRow]:
-        """Parse a CSV produced by :meth:`to_csv` into trace rows."""
-        reader = csv.DictReader(io.StringIO(text))
-        rows = []
-        for record in reader:
-            rows.append(
-                TraceRow(
-                    index=int(record["index"]),
-                    mode=Mode(record["mode"]),
-                    lba=int(record["lba"]),
-                    size=int(record["size"]),
-                    submitted_at=float(record["submitted_at"]),
-                    started_at=float(record["started_at"]),
-                    completed_at=float(record["completed_at"]),
-                    response_usec=float(record["response_usec"]),
-                    page_reads=int(record["page_reads"]),
-                    page_programs=int(record["page_programs"]),
-                    copy_reads=int(record["copy_reads"]),
-                    copy_programs=int(record["copy_programs"]),
-                    block_erases=int(record["block_erases"]),
-                    notes=_split_notes(record["notes"]),
-                )
-            )
-        return rows
-
     @classmethod
     def from_csv(cls, text: str) -> "IOTrace":
         """Rebuild a columnar trace from :meth:`to_csv` output.
@@ -617,41 +526,58 @@ class IOTrace:
         The CSV schema is the archival one: it carries neither the
         scheduled time nor the transfer/map-miss/extra cost fields, so
         those columns come back as ``scheduled_at = submitted_at`` and
-        zeros respectively.
+        zeros respectively.  Raises :class:`~repro.errors.AnalysisError`
+        on a header that is not :meth:`to_csv`'s or a row that does not
+        parse.
         """
-        reader = csv.reader(io.StringIO(text))
-        header = next(reader, None)
+        try:
+            lines = list(csv.reader(io.StringIO(text)))
+        except csv.Error as exc:
+            raise AnalysisError(f"not an IOTrace CSV: {exc}") from None
+        header = lines[0] if lines else []
         if header != list(_FIELDS):
-            raise ValueError("not an IOTrace CSV (unexpected header)")
-        records = [row for row in reader if row]
+            raise AnalysisError(
+                "not an IOTrace CSV: expected the header "
+                f"{','.join(_FIELDS)!r}, got {','.join(header)!r}"
+            )
+        records = [record for record in lines[1:] if record]
+        for row, record in enumerate(records):
+            if len(record) != len(_FIELDS) or record[1] not in ("read", "write"):
+                raise AnalysisError(
+                    f"IOTrace CSV row {row + 1} does not parse: "
+                    f"{','.join(record)!r}"
+                )
         trace = cls(capacity=len(records))
         n = len(records)
         if not n:
             return trace
         columns = list(zip(*records))
-        trace._index[:n] = np.array([int(v) for v in columns[0]], np.int64)
-        trace._write[:n] = np.array(
-            [v == "write" for v in columns[1]], np.bool_
-        )
-        trace._lba[:n] = np.array([int(v) for v in columns[2]], np.int64)
-        trace._size[:n] = np.array([int(v) for v in columns[3]], np.int64)
-        submitted = np.array([float(v) for v in columns[4]], np.float64)
-        trace._submitted_at[:n] = submitted
-        trace._scheduled_at[:n] = submitted
-        trace._started_at[:n] = np.array(
-            [float(v) for v in columns[5]], np.float64
-        )
-        trace._completed_at[:n] = np.array(
-            [float(v) for v in columns[6]], np.float64
-        )
-        for position, name in enumerate(
-            ("page_reads", "page_programs", "copy_reads",
-             "copy_programs", "block_erases"),
-            start=8,
-        ):
-            getattr(trace, "_" + name)[:n] = np.array(
-                [int(v) for v in columns[position]], np.int64
+        try:
+            trace._index[:n] = np.array([int(v) for v in columns[0]], np.int64)
+            trace._write[:n] = np.array(
+                [v == "write" for v in columns[1]], np.bool_
             )
+            trace._lba[:n] = np.array([int(v) for v in columns[2]], np.int64)
+            trace._size[:n] = np.array([int(v) for v in columns[3]], np.int64)
+            submitted = np.array([float(v) for v in columns[4]], np.float64)
+            trace._submitted_at[:n] = submitted
+            trace._scheduled_at[:n] = submitted
+            trace._started_at[:n] = np.array(
+                [float(v) for v in columns[5]], np.float64
+            )
+            trace._completed_at[:n] = np.array(
+                [float(v) for v in columns[6]], np.float64
+            )
+            for position, name in enumerate(
+                ("page_reads", "page_programs", "copy_reads",
+                 "copy_programs", "block_erases"),
+                start=8,
+            ):
+                getattr(trace, "_" + name)[:n] = np.array(
+                    [int(v) for v in columns[position]], np.int64
+                )
+        except (ValueError, OverflowError) as exc:
+            raise AnalysisError(f"IOTrace CSV does not parse: {exc}") from None
         for row, joined in enumerate(columns[13]):
             if joined:
                 trace._notes[row] = list(_split_notes(joined))
@@ -659,12 +585,12 @@ class IOTrace:
         return trace
 
     @staticmethod
-    def load_csv(path: str | Path) -> list[TraceRow]:
-        """Load an archived trace from disk."""
-        return IOTrace.parse_csv(Path(path).read_text())
+    def load_csv(path: str | Path) -> "IOTrace":
+        """Load an archived trace from disk (see :meth:`from_csv`)."""
+        return IOTrace.from_csv(Path(path).read_text())
 
     # ------------------------------------------------------------------
-    # columnar interchange (JSON payloads, pickle)
+    # columnar interchange (JSON payloads)
     # ------------------------------------------------------------------
 
     def to_payload(self) -> dict:
@@ -719,78 +645,3 @@ class IOTrace:
                 )
         trace._n = n
         return trace
-
-    def __reduce__(self):
-        """Pickle as packed raw column buffers (slim IPC format).
-
-        All-zero columns (most cost counters, most of the time) are
-        elided entirely; integer columns are losslessly downcast to the
-        narrowest dtype that holds their range.  Timestamps stay
-        float64, so the round-trip is bit-exact.
-        """
-        n = self._n
-        packed = tuple(
-            _pack_column(getattr(self, "_" + name)[:n]) for name, _ in _COLUMNS
-        )
-        notes = {
-            row: list(tags)
-            for row, tags in self._notes.items()
-            if tags and row < n
-        }
-        if self._attr is None:
-            return (_trace_from_packed, (n, packed, notes))
-        attr_packed = tuple(
-            _pack_column(np.ascontiguousarray(self._attr[:n, i]))
-            for i in range(len(ATTRIBUTION_COLUMNS))
-        )
-        return (_trace_from_packed, (n, packed, notes, attr_packed))
-
-
-def _pack_column(column: np.ndarray) -> tuple[str, bytes] | None:
-    """One column as ``(dtype_str, raw_bytes)``; ``None`` if all-zero."""
-    if column.size == 0 or not column.any():
-        return None
-    if column.dtype.kind == "i":
-        lo, hi = int(column.min()), int(column.max())
-        for narrow in (np.int8, np.int16, np.int32):
-            info = np.iinfo(narrow)
-            if info.min <= lo and hi <= info.max:
-                return (np.dtype(narrow).str, column.astype(narrow).tobytes())
-    return (column.dtype.str, column.tobytes())
-
-
-def _trace_from_packed(
-    n: int,
-    packed: tuple[tuple[str, bytes] | None, ...],
-    notes: dict[int, list[str]],
-    attr_packed: tuple[tuple[str, bytes] | None, ...] | None = None,
-) -> IOTrace:
-    """Unpickle helper: rebuild an :class:`IOTrace` from packed columns.
-
-    ``attr_packed`` (absent in pre-flight-recorder pickles) carries the
-    attribution columns in :data:`ATTRIBUTION_COLUMNS` order, packed
-    like the core columns.
-    """
-    trace = IOTrace(capacity=n)
-    for (name, dtype), entry in zip(_COLUMNS, packed):
-        if entry is None:
-            continue  # freshly allocated columns are already zero
-        dtype_str, buffer = entry
-        getattr(trace, "_" + name)[:n] = np.frombuffer(
-            buffer, dtype=np.dtype(dtype_str)
-        )
-    trace._notes = dict(notes)
-    if attr_packed is not None:
-        trace._attr = np.zeros(
-            (max(n, trace._capacity), len(ATTRIBUTION_COLUMNS)),
-            dtype=np.int64,
-        )
-        for i, entry in enumerate(attr_packed):
-            if entry is None:
-                continue
-            dtype_str, buffer = entry
-            trace._attr[:n, i] = np.frombuffer(
-                buffer, dtype=np.dtype(dtype_str)
-            )
-    trace._n = n
-    return trace

@@ -166,10 +166,10 @@ def test_gc_epoch_across_capacities_and_overprovisioning(
 
 
 def test_write_window_declines_wear_levelling_exactly():
-    """A wear-threshold config must keep every write window on the
-    per-IO reference path (wear moves interleave with host appends in
-    ways the kernel does not model) — and the fallback must still be
-    bit-identical."""
+    """A wear-threshold config must keep every write on the per-IO
+    reference path (wear moves interleave with host appends in ways the
+    kernel does not model): the program runner declines it up front —
+    and the fallback must still be bit-identical."""
     from repro.flashsim.ftl.pagemap import PageMapConfig
     from repro.flashsim.profiles import scaled_profile
 
@@ -186,7 +186,7 @@ def test_write_window_declines_wear_levelling_exactly():
     kernel_dev = profile.build(4 * MIB)
     reference_dev = profile.build(4 * MIB)
     kernel_report = enforce_random_state(kernel_dev, seed=3, coverage=2.0)
-    assert analytic.STATS.declines.get("write:wear-levelling", 0) > 0
+    assert analytic.STATS.declines.get("program:wear-levelling", 0) > 0
     assert analytic.STATS.write_windows == 0
     with kernels_disabled():
         reference_report = enforce_random_state(

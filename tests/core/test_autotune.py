@@ -142,3 +142,59 @@ def test_autotune_beats_fixed_iocount_budget(enforced_mtron):
     assert write_result.converged
     # the tuned mean is in the steady regime (far above the cheap phase)
     assert write_result.stats.mean_usec > 2_000.0
+
+
+# ----------------------------------------------------------------------
+# bit-identity against a per-IO FlashDevice.submit loop
+# ----------------------------------------------------------------------
+
+def _submit_responses(device, spec, max_ios, count):
+    """The per-IO oracle: the first ``count`` IOs of the extended
+    pattern, each through ``FlashDevice.submit`` on Table 1's schedule
+    (IO *i* at IO *i-1*'s completion plus its gap)."""
+    from repro.core.generator import PatternGenerator
+    from repro.iotypes import IORequest
+
+    span = spec.target_size
+    if spec.location is LocationKind.SEQUENTIAL:
+        span = max(span, max_ios * spec.io_size)
+    available = device.capacity - spec.target_offset - spec.io_shift
+    span = min(span, (available // spec.io_size) * spec.io_size)
+    long_spec = spec.with_(io_count=max_ios, io_ignore=0, target_size=span)
+    program = PatternGenerator(long_spec).program()
+    clock = device.busy_until
+    responses = []
+    for index in range(count):
+        scheduled = clock + float(program.gaps[index]) if index else clock
+        request = IORequest(
+            index, int(program.lbas[index]), spec.io_size, spec.mode, scheduled
+        )
+        completed = device.submit(request, scheduled)
+        responses.append(completed.response_usec)
+        clock = completed.completed_at
+    return tuple(responses)
+
+
+@pytest.mark.parametrize("profile", ["memoright", "kingston_dti", "ideal_pagemap"])
+@pytest.mark.parametrize("label", ["SW", "RW", "RR"])
+@pytest.mark.parametrize("paced", [False, True], ids=["consecutive", "paced"])
+def test_autotune_matches_per_io_submit_loop(profile, label, paced):
+    from repro.core.methodology import enforce_random_state
+    from repro.core.patterns import TimingKind, baselines
+    from repro.flashsim import build_device
+    from repro.units import MIB
+
+    spec = baselines(io_size=32 * KIB, io_count=64, random_target_size=8 * MIB)[label]
+    if paced:
+        spec = spec.with_(timing=TimingKind.PAUSE, pause_usec=500.0)
+    tuned_device, oracle_device = (
+        build_device(profile, logical_bytes=16 * MIB) for _ in range(2)
+    )
+    for device in (tuned_device, oracle_device):
+        enforce_random_state(device)
+    result = autotune_run(tuned_device, spec, chunk=40, min_ios=192, max_ios=780)
+    assert result.responses == _submit_responses(
+        oracle_device, spec, 780, result.io_count
+    )
+    assert result.chunks == -(-result.io_count // 40)
+    assert tuned_device.fingerprint() == oracle_device.fingerprint()

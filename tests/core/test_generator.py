@@ -1,4 +1,5 @@
-"""Generators: feedback-driven scheduling, determinism, mix interleave."""
+"""Generators: program columns under Table 1's schedule, determinism,
+mix interleave."""
 
 from repro.core.generator import MixGenerator, PatternGenerator
 from repro.core.patterns import (
@@ -7,31 +8,30 @@ from repro.core.patterns import (
     PatternSpec,
     TimingKind,
 )
-from repro.flashsim.timing import CostAccumulator
-from repro.iotypes import CompletedIO, IORequest, Mode
+from repro.iotypes import IORequest, Mode
 from repro.units import KIB, MIB
 
 
-def completed(request, finished_at):
-    return CompletedIO(
-        request=request,
-        submitted_at=request.scheduled_at,
-        started_at=request.scheduled_at,
-        completed_at=finished_at,
-        cost=CostAccumulator(),
-    )
-
-
-def drive(generator, service_usec=100.0):
-    """Run a generator to exhaustion with a fixed simulated service time."""
+def drive(generator, service_usec=100.0, start_at=0.0):
+    """Schedule a generator's program with a fixed simulated service
+    time: the first IO at ``start_at``, IO *i* at IO *i-1*'s completion
+    plus its gap (Table 1)."""
+    program = generator.program()
     out = []
-    previous = None
-    while True:
-        request = generator(previous)
-        if request is None:
-            return out
-        out.append(request)
-        previous = completed(request, request.scheduled_at + service_usec)
+    completion = start_at
+    for index, (lba, size, write, gap) in enumerate(
+        zip(
+            program.lbas.tolist(),
+            program.sizes.tolist(),
+            program.writes.tolist(),
+            program.gaps.tolist(),
+        )
+    ):
+        scheduled = start_at if index == 0 else completion + gap
+        mode = Mode.WRITE if write else Mode.READ
+        out.append(IORequest(index, lba, size, mode, scheduled))
+        completion = scheduled + service_usec
+    return out
 
 
 def test_generator_produces_io_count_requests():
@@ -47,7 +47,7 @@ def test_consecutive_schedules_at_previous_completion():
     spec = PatternSpec(
         mode=Mode.WRITE, location=LocationKind.SEQUENTIAL, io_count=4, io_size=32 * KIB
     )
-    requests = drive(PatternGenerator(spec, start_at=50.0), service_usec=100.0)
+    requests = drive(PatternGenerator(spec), service_usec=100.0, start_at=50.0)
     assert [r.scheduled_at for r in requests] == [50.0, 150.0, 250.0, 350.0]
 
 
@@ -149,12 +149,3 @@ def test_mix_components_advance_independently():
     assert reads == [0, 32 * KIB, 64 * KIB, 96 * KIB]
     assert writes == [4 * MIB + i * 32 * KIB for i in range(4)]
 
-
-def test_issued_counter():
-    spec = PatternSpec(
-        mode=Mode.WRITE, location=LocationKind.SEQUENTIAL, io_count=3, io_size=32 * KIB
-    )
-    generator = PatternGenerator(spec)
-    assert generator.issued == 0
-    drive(generator)
-    assert generator.issued == 3

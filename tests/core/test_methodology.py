@@ -11,9 +11,11 @@ from repro.core.methodology import (
     spec_with_run_control,
 )
 from repro.core.patterns import LocationKind, PatternSpec
+from repro.flashsim import build_device
 from repro.flashsim.chip import ERASED
+from repro.flashsim.profiles import profile_names
 from repro.iotypes import Mode
-from repro.units import KIB
+from repro.units import KIB, MIB
 
 from tests.conftest import make_device
 
@@ -28,16 +30,18 @@ def test_random_enforcement_covers_capacity():
     device.check_invariants()
 
 
-def test_random_enforcement_uses_random_sizes():
+def test_random_enforcement_uses_random_sizes(monkeypatch):
+    from repro.flashsim.host import SyncHost
+
     device = make_device()
     sizes = set()
-    original = device.submit
+    original = SyncHost.run_program
 
-    def spy(request, now):
-        sizes.add(request.size)
-        return original(request, now)
+    def spy(host, program, start_at=0.0):
+        sizes.update(program.sizes.tolist())
+        return original(host, program, start_at)
 
-    device.submit = spy
+    monkeypatch.setattr(SyncHost, "run_program", spy)
     enforce_random_state(device)
     assert len(sizes) > 5  # many distinct sizes, 0.5K..block size
     assert max(sizes) <= device.geometry.block_size
@@ -121,15 +125,8 @@ def test_spec_with_run_control():
 
 
 # ----------------------------------------------------------------------
-# StatePool bounds (LRU)
+# StatePool
 # ----------------------------------------------------------------------
-
-def test_state_pool_rejects_nonpositive_cap():
-    from repro.core.methodology import StatePool
-
-    with pytest.raises(ValueError):
-        StatePool(max_states=0)
-
 
 def test_state_pool_unbounded_by_default():
     from repro.core.methodology import StatePool
@@ -139,46 +136,72 @@ def test_state_pool_unbounded_by_default():
     for seed in range(4):
         pool.ensure(device, coverage=0.25, seed=seed)
     assert len(pool) == 4
-    assert pool.evictions == 0
+    assert pool.misses == 4
 
 
-def test_state_pool_lru_cap_evicts_oldest_and_counts():
-    from repro.core.methodology import StatePool
-    from repro.obs import metrics as obs_metrics
+# ----------------------------------------------------------------------
+# bit-identity against a per-IO FlashDevice.submit loop
+# ----------------------------------------------------------------------
 
-    registry = obs_metrics.install()
-    try:
-        pool = StatePool(max_states=2)
-        device = make_device()
-        first = pool.ensure(device, coverage=0.25, seed=1)
-        pool.ensure(device, coverage=0.25, seed=2)
-        # touching seed=1 makes seed=2 the LRU victim
-        assert pool.ensure(device, coverage=0.25, seed=1) is first
-        pool.ensure(device, coverage=0.25, seed=3)
-        assert len(pool) == 2
-        assert pool.evictions == 1
-        snapshot = registry.snapshot()
-        assert snapshot.counters["core.state_pool.evictions"] == 1
-        # seed=1 survived (hit), seed=2 was evicted (re-enforces: miss)
-        hits_before = pool.hits
-        pool.ensure(device, coverage=0.25, seed=1)
-        assert pool.hits == hits_before + 1
-        misses_before = pool.misses
-        pool.ensure(device, coverage=0.25, seed=2)
-        assert pool.misses == misses_before + 1
-    finally:
-        obs_metrics.uninstall()
+def _submit_writes(device, method, extents):
+    """The per-IO oracle: back-to-back writes through
+    ``FlashDevice.submit``, then drain — the report enforcement owes."""
+    from repro.core.methodology import StateReport
+    from repro.iotypes import IORequest
+
+    start = now = device.busy_until
+    for index, (lba, size) in enumerate(extents):
+        now = device.submit(IORequest(index, lba, size, Mode.WRITE), now).completed_at
+    device.drain()
+    count = len(extents)
+    return StateReport(
+        method=method,
+        io_count=count,
+        bytes_written=sum(size for _, size in extents),
+        elapsed_usec=now - start,
+        mean_io_usec=(now - start) / count,
+    )
 
 
-def test_state_pool_evicted_state_reenforces_identically():
-    # enforcement starts from an out-of-box device each time (as the
-    # executor's prepare() does), so an evicted state grows back with
-    # the same fingerprint
-    from repro.core.methodology import StatePool
+def _random_extents(device, seed, coverage):
+    """Section 4.1's random stream, drawn as :func:`enforce_random_state`
+    documents it: random sector-multiple sizes up to the block size at
+    random sector-aligned offsets, until ``coverage`` times the capacity
+    is written."""
+    import random
 
-    pool = StatePool(max_states=1)
-    first = pool.ensure(make_device(), coverage=0.25, seed=7)
-    fingerprint = first.fingerprint
-    pool.ensure(make_device(), coverage=0.25, seed=8)  # evicts seed=7
-    again = pool.ensure(make_device(), coverage=0.25, seed=7)
-    assert again.fingerprint == fingerprint
+    from repro.units import SECTOR
+
+    capacity = device.geometry.logical_bytes
+    rng = random.Random(seed)
+    extents = []
+    written = 0
+    while written < int(coverage * capacity):
+        size = rng.randrange(SECTOR, device.geometry.block_size + 1, SECTOR)
+        extents.append((rng.randrange(0, capacity - size + 1, SECTOR), size))
+        written += size
+    return extents
+
+
+def _sequential_extents(device, io_size=128 * KIB):
+    capacity = device.geometry.logical_bytes
+    return [
+        (lba, min(io_size, capacity - lba)) for lba in range(0, capacity, io_size)
+    ]
+
+
+@pytest.mark.parametrize("profile", profile_names())
+@pytest.mark.parametrize("method", ["random", "sequential"])
+def test_enforcement_matches_per_io_submit_loop(profile, method):
+    enforced, oracle = (
+        build_device(profile, logical_bytes=4 * MIB) for _ in range(2)
+    )
+    if method == "random":
+        # twice over, so every FTL family reaches GC / merge steady state
+        report = enforce_random_state(enforced, coverage=2.0, seed=5)
+        expected = _submit_writes(oracle, method, _random_extents(oracle, 5, 2.0))
+    else:
+        report = enforce_sequential_state(enforced)
+        expected = _submit_writes(oracle, method, _sequential_extents(oracle))
+    assert report == expected
+    assert enforced.fingerprint() == oracle.fingerprint()

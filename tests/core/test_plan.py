@@ -1,9 +1,19 @@
 """Benchmark plans: target allocation, ordering, state resets."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.engine import Engine
 from repro.core.experiment import Experiment
-from repro.core.patterns import LocationKind, MixSpec, ParallelSpec, PatternSpec
+from repro.core.microbench import BenchContext, build_microbenchmark
+from repro.core.patterns import (
+    LocationKind,
+    MixSpec,
+    ParallelMixSpec,
+    ParallelSpec,
+    PatternSpec,
+)
 from repro.core.plan import (
     BenchmarkPlan,
     StateReset,
@@ -12,6 +22,7 @@ from repro.core.plan import (
     spec_footprint,
 )
 from repro.errors import PlanError
+from repro.flashsim import build_device
 from repro.iotypes import Mode
 from repro.units import KIB, MIB
 
@@ -113,6 +124,139 @@ def test_place_parallel_and_mix():
     assert isinstance(placed_mix, MixSpec)
     # the sequential-write component moved onto fresh space
     assert placed_mix.secondary.target_offset >= 256 * KIB
+
+
+def _extents(spec):
+    """The byte extents a placed spec's components may touch."""
+    if isinstance(spec, MixSpec):
+        return [spec.primary.footprint, spec.secondary.footprint]
+    if isinstance(spec, ParallelMixSpec):
+        return [component.footprint for component in spec.components]
+    if isinstance(spec, ParallelSpec):
+        return [spec.base.footprint]
+    return [spec.footprint]
+
+
+@pytest.mark.parametrize("combo", ["SR+SW", "RR+SW", "SW+RW"])
+def test_place_mix_microbenchmark_components_stay_disjoint(combo):
+    """Regression: placing only the component that needs fresh space at
+    the cursor landed it on the other's fixed range (``PatternError:
+    mixed patterns must use disjoint target spaces``)."""
+    ctx = BenchContext(capacity=4 * MIB, io_size=32 * KIB, io_count=16)
+    experiment = next(
+        e for e in build_microbenchmark("mix", ctx).experiments
+        if e.name == f"mix/{combo}"
+    )
+    device = build_device("kingston_dti", logical_bytes=4 * MIB)
+    allocator = TargetAllocator(capacity=4 * MIB, align=128 * KIB)
+    for value in experiment.values:
+        placed = allocator.place(experiment.spec_for(value))
+        if placed is None:
+            allocator.reset()
+            placed = allocator.place(experiment.spec_for(value))
+        (a_start, a_end), (b_start, b_end) = _extents(placed)
+        assert a_end <= b_start or b_end <= a_start
+        assert max(a_end, b_end) <= 4 * MIB
+        assert Engine(device).run(placed).stats.count == 16
+
+
+def test_place_mix_keeps_queue_depth_and_label():
+    seq_write = spec()
+    random_read = spec(mode=Mode.READ, location=LocationKind.RANDOM,
+                       target_offset=1 * MIB)
+    mix = MixSpec(primary=random_read, secondary=seq_write, ratio=3,
+                  io_count=8, io_ignore=2, queue_depth=4, label="oltp")
+    placed = TargetAllocator(capacity=4 * MIB, align=128 * KIB).place(mix)
+    assert (placed.ratio, placed.io_count, placed.io_ignore) == (3, 8, 2)
+    assert (placed.queue_depth, placed.label) == (4, "oltp")
+    # one footprint, components back to back inside it
+    assert placed.primary.target_offset == 0
+    assert placed.secondary.target_offset == spec_footprint(random_read)
+    device = build_device("memoright", logical_bytes=4 * MIB)
+    assert Engine(device).run(placed).stats.count == 8 - 2  # io_ignore
+
+
+def test_place_parallel_mix():
+    components = (
+        spec(mode=Mode.READ, location=LocationKind.RANDOM),
+        spec(target_offset=1 * MIB),
+        spec(target_offset=2 * MIB, io_shift=512),
+    )
+    allocator = TargetAllocator(capacity=4 * MIB, align=128 * KIB)
+    allocator.try_allocate(100 * KIB)
+    placed = allocator.place(ParallelMixSpec(components=components))
+    assert isinstance(placed, ParallelMixSpec)
+    offsets = [component.target_offset for component in placed.components]
+    assert offsets == [
+        128 * KIB,
+        128 * KIB + spec_footprint(components[0]),
+        128 * KIB + spec_footprint(components[0]) + spec_footprint(components[1]),
+    ]
+    assert allocator.used == 1 * MIB  # 128 KiB + (768 KiB + 512) aligned up
+    device = build_device("ideal_pagemap", logical_bytes=4 * MIB)
+    assert Engine(device).run(placed).stats.count == 24
+
+
+_CAPACITY = 4 * MIB
+
+
+@st.composite
+def _pattern(draw, offset):
+    io_size = draw(st.sampled_from([4 * KIB, 32 * KIB]))
+    return PatternSpec(
+        mode=draw(st.sampled_from([Mode.READ, Mode.WRITE])),
+        location=draw(st.sampled_from(
+            [LocationKind.SEQUENTIAL, LocationKind.RANDOM]
+        )),
+        io_size=io_size,
+        io_count=draw(st.integers(min_value=1, max_value=12)),
+        io_shift=draw(st.sampled_from([0, 512])),
+        target_offset=offset,
+    )
+
+
+@st.composite
+def _spec_like(draw):
+    kind = draw(st.sampled_from(["pattern", "parallel", "mix", "parallel-mix"]))
+    offset = draw(st.integers(min_value=0, max_value=32)) * 32 * KIB
+    first = draw(_pattern(offset))
+    if kind == "pattern":
+        return first
+    if kind == "parallel":
+        return ParallelSpec(
+            base=first.with_(io_count=4, target_size=4 * first.io_size),
+            parallel_degree=draw(st.sampled_from([1, 2, 4])),
+        )
+    components = [first]
+    for _ in range(1 if kind == "mix" else draw(st.integers(1, 2))):
+        # the unplaced spec is valid: components start out disjoint
+        components.append(draw(_pattern(components[-1].footprint[1])))
+    if kind == "mix":
+        return MixSpec(
+            primary=components[0], secondary=components[1],
+            ratio=draw(st.integers(min_value=1, max_value=4)),
+        )
+    return ParallelMixSpec(components=tuple(components))
+
+
+@settings(max_examples=150, deadline=None)
+@given(specs=st.lists(_spec_like(), min_size=1, max_size=12))
+def test_fresh_placements_are_disjoint_and_in_capacity(specs):
+    allocator = TargetAllocator(capacity=_CAPACITY, align=128 * KIB)
+    fresh = []
+    for original in specs:
+        placed = allocator.place(original)
+        if placed is None:
+            continue  # a state reset would come first
+        if not needs_fresh_space(original):
+            assert placed is original
+            continue
+        fresh.extend(_extents(placed))
+    fresh.sort()
+    for start, end in fresh:
+        assert 0 <= start < end <= _CAPACITY
+    for (_, end_a), (start_b, _) in zip(fresh, fresh[1:]):
+        assert end_a <= start_b
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.engine import Engine
+from repro.core.methodology import enforce_random_state
 from repro.core.patterns import LocationKind, PatternSpec
 from repro.core.replay import (
     ReplayMode,
@@ -10,10 +11,13 @@ from repro.core.replay import (
     replay,
     replay_csv,
 )
+from repro.core.stats import summarize
+from repro.core.workloads import oltp_mix
 from repro.errors import AnalysisError
+from repro.flashsim import build_device
 from repro.flashsim.timing import TimingSpec
 from repro.flashsim.trace import IOTrace
-from repro.iotypes import Mode
+from repro.iotypes import IORequest, Mode
 from repro.units import KIB, MIB
 
 from tests.conftest import make_device
@@ -30,7 +34,18 @@ def capture_trace(device=None, io_count=24, timing=None):
         seed=4,
     )
     run = Engine(device).run(spec)
-    return IOTrace.parse_csv(run.trace.to_csv())
+    return IOTrace.from_csv(run.trace.to_csv())
+
+
+def stretched(trace, gap_usec):
+    """``trace`` with IO *i* recorded as submitted at ``i * gap_usec``."""
+    payload = trace.to_payload()
+    responses = trace.response_times().tolist()
+    payload["submitted_at"] = [i * gap_usec for i in range(len(trace))]
+    payload["completed_at"] = [
+        i * gap_usec + rt for i, rt in enumerate(responses)
+    ]
+    return IOTrace.from_payload(payload)
 
 
 def test_closed_loop_replay_reproduces_the_same_device():
@@ -41,7 +56,7 @@ def test_closed_loop_replay_reproduces_the_same_device():
     # same device class, same workload: same-order spans
     assert result.speedup == pytest.approx(1.0, rel=0.3)
     lbas = [completed.request.lba for completed in result.trace]
-    assert lbas == [row.lba for row in rows]
+    assert lbas == rows.column("lba").tolist()
 
 
 def test_replay_onto_a_faster_device_speeds_up():
@@ -52,21 +67,11 @@ def test_replay_onto_a_faster_device_speeds_up():
 
 
 def test_timed_replay_preserves_think_time():
-    rows = capture_trace()
     # stretch the recorded arrival times far apart
-    stretched = [
-        type(row)(
-            **{
-                **row.__dict__,
-                "submitted_at": index * 50_000.0,
-                "completed_at": index * 50_000.0 + row.response_usec,
-            }
-        )
-        for index, row in enumerate(rows)
-    ]
+    rows = stretched(capture_trace(), 50_000.0)
     target = make_device()
-    timed = replay(target, stretched, mode=ReplayMode.TIMED)
-    closed = replay(make_device(), stretched, mode=ReplayMode.CLOSED_LOOP)
+    timed = replay(target, rows, mode=ReplayMode.TIMED)
+    closed = replay(make_device(), rows, mode=ReplayMode.CLOSED_LOOP)
     assert timed.replay_span_usec > 5 * closed.replay_span_usec
 
 
@@ -91,15 +96,18 @@ def test_replay_rejects_oversized_extents():
 def test_remap_folds_lbas():
     rows = capture_trace()
     remapped = remap_rows(rows, 256 * KIB, 16 * KIB)
+    assert len(remapped) == len(rows)
     for row in remapped:
-        assert row.lba + row.size <= 256 * KIB
+        assert row.request.lba + row.request.size <= 256 * KIB
+    assert remapped.to_csv().splitlines()[0] == rows.to_csv().splitlines()[0]
+    assert (remapped.response_times() == rows.response_times()).all()
     with pytest.raises(AnalysisError):
         remap_rows(rows, 1 * KIB, 16 * KIB)
 
 
 def test_replay_empty_rejected():
     with pytest.raises(AnalysisError):
-        replay(make_device(), [])
+        replay(make_device(), IOTrace())
 
 
 def test_replay_csv_round_trip(tmp_path):
@@ -127,3 +135,57 @@ def test_replay_io_ignore():
     result = replay(make_device(), rows, io_ignore=8)
     assert result.stats.ignored == 8
     assert result.stats.count == len(rows) - 8
+
+
+# ----------------------------------------------------------------------
+# bit-identity against a per-IO FlashDevice.submit loop
+# ----------------------------------------------------------------------
+
+def _submit_replay(device, trace, timed):
+    """The per-IO oracle: each IO through ``FlashDevice.submit``, at its
+    recorded offset (timed) or at the previous completion (closed loop)."""
+    out = IOTrace()
+    start = now = device.busy_until
+    origin = trace[0].submitted_at
+    for index, row in enumerate(trace):
+        offset = row.submitted_at - origin
+        submit_at = max(start + offset, start) if timed else now
+        request = IORequest(
+            index, row.request.lba, row.request.size, row.request.mode, offset
+        )
+        completed = device.submit(request, submit_at)
+        out.append(completed)
+        now = completed.completed_at
+    return out
+
+
+def _enforced(profile):
+    device = build_device(profile, logical_bytes=8 * MIB)
+    enforce_random_state(device)
+    return device
+
+
+@pytest.mark.parametrize("profile", ["memoright", "kingston_dti"])
+@pytest.mark.parametrize("mode", list(ReplayMode))
+@pytest.mark.parametrize("gap_usec", [None, 300.0])
+def test_replay_matches_per_io_submit_loop(profile, mode, gap_usec):
+    source = _enforced(profile)
+    workload = oltp_mix(
+        source.capacity, page_size=16 * KIB, io_count=96,
+        reads_per_write=3, working_set=2 * MIB,
+    )
+    trace = IOTrace.from_csv(Engine(source).run(workload).trace.to_csv())
+    if gap_usec is not None:
+        trace = stretched(trace, gap_usec)
+    replayed, oracle_device = _enforced(profile), _enforced(profile)
+    result = replay(replayed, trace, mode=mode, io_ignore=8)
+    oracle = _submit_replay(oracle_device, trace, mode is ReplayMode.TIMED)
+    assert result.trace.to_csv() == oracle.to_csv()
+    assert result.stats == summarize(oracle.response_times(), 8)
+    assert result.original_span_usec == (
+        trace[len(trace) - 1].completed_at - trace[0].submitted_at
+    )
+    assert result.replay_span_usec == (
+        oracle[len(oracle) - 1].completed_at - oracle[0].submitted_at
+    )
+    assert replayed.fingerprint() == oracle_device.fingerprint()

@@ -35,6 +35,7 @@ from repro.flashsim.recorder import (
 )
 from repro.flashsim.timing import CostAccumulator, TimingSpec
 from repro.flashsim.trace import IOTrace
+from repro.iotypes import IORequest
 from repro.units import KIB, MIB
 
 from ..conftest import SMALL_GEOMETRY, make_device
@@ -223,11 +224,16 @@ def test_columnar_legacy_attribution_identical(profile):
     legacy_device.attach_recorder(FlightRecorder())
     columnar = Engine(columnar_device).run(spec).trace
     legacy = IOTrace()
-    generator = PatternGenerator(spec)
-    completed = None
-    while (request := generator(completed)) is not None:
-        completed = legacy_device.submit(request, request.scheduled_at)
+    program = PatternGenerator(spec).program()
+    clock = 0.0
+    for index, (lba, gap) in enumerate(
+        zip(program.lbas.tolist(), program.gaps.tolist())
+    ):
+        scheduled = clock + gap if index else clock
+        request = IORequest(index, lba, spec.io_size, spec.mode, scheduled)
+        completed = legacy_device.submit(request, scheduled)
         legacy.append(completed)
+        clock = completed.completed_at
     _assert_trace_balanced(columnar)
     _assert_trace_balanced(legacy)
     assert np.array_equal(columnar.attribution_matrix(), legacy.attribution_matrix())

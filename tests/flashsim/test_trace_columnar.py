@@ -1,10 +1,11 @@
-"""Columnar IOTrace storage: views, serialisation and pickle slimming."""
+"""Columnar IOTrace storage: views, serialisation and pickling."""
 
 import pickle
 
 import numpy as np
 import pytest
 
+from repro.errors import AnalysisError
 from repro.flashsim.trace import IOTrace
 from repro.iotypes import IORequest, Mode
 from repro.units import KIB
@@ -71,8 +72,8 @@ def _synthetic_trace(count=3):
 
     trace = IOTrace()
     for i in range(count):
-        trace.record(
-            index=i,
+        trace.record_at(
+            row=i,
             lba=i * 8 * KIB,
             size=8 * KIB,
             write=True,
@@ -92,10 +93,10 @@ def test_notes_with_separator_and_escape_round_trip():
     trace[0].cost.note("merge; forced")
     trace[0].cost.note("path\\x")
     trace[1].cost.note("plain")
-    rows = IOTrace.parse_csv(trace.to_csv())
-    assert rows[0].notes == ("merge; forced", "path\\x")
-    assert rows[1].notes == ("plain",)
-    assert rows[2].notes == ()
+    rows = IOTrace.from_csv(trace.to_csv())
+    assert rows[0].cost.notes == ["merge; forced", "path\\x"]
+    assert rows[1].cost.notes == ["plain"]
+    assert rows[2].cost.notes == []
 
 
 def test_from_csv_round_trip():
@@ -118,6 +119,22 @@ def test_from_csv_round_trip():
     ]
 
 
+@pytest.mark.parametrize(
+    "mangle",
+    [
+        lambda text: text.replace("index,", "idx,", 1),  # wrong header
+        lambda text: "",  # no header at all
+        lambda text: text + "1,write,0\n",  # short row
+        lambda text: text.replace(",write,", ",erase,", 1),  # unknown mode
+        lambda text: text.replace(",write,0,", ",write,zero,", 1),  # bad lba
+    ],
+)
+def test_from_csv_rejects_malformed_input(mangle):
+    text = run_some_ios(3).to_csv()
+    with pytest.raises(AnalysisError):
+        IOTrace.from_csv(mangle(text))
+
+
 def test_payload_round_trip():
     trace = run_some_ios(4)
     trace[2].cost.note("gc")
@@ -127,7 +144,7 @@ def test_payload_round_trip():
 
 
 def test_pickle_round_trip_and_size_reduction():
-    """Pickles ship raw column buffers: the same trace comes back."""
+    """A pickled trace comes back with the same rows and columns."""
     trace = run_some_ios(64)
     trace[3].cost.note("gc")
     rebuilt = pickle.loads(pickle.dumps(trace))

@@ -221,3 +221,24 @@ def test_replay_subcommand(capsys, tmp_path):
     assert code == 0
     assert "replayed 24 IOs on memoright" in out
     assert "speedup" in out
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "lba,size\n0,4096\n",  # not an IOTrace header
+        "index,mode,lba,size,submitted_at,started_at,completed_at,"
+        "response_usec,page_reads,page_programs,copy_reads,copy_programs,"
+        "block_erases,notes\n0,write,oops,4096,0,0,1,1,0,1,0,0,0,\n",
+    ],
+    ids=["header", "row"],
+)
+def test_replay_on_a_malformed_csv_is_a_one_line_error(capsys, tmp_path, text):
+    path = tmp_path / "trace.csv"
+    path.write_text(text)
+    code = main(["replay", str(path), "--device", "memoright", "--capacity", "8M"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("uflip: error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
