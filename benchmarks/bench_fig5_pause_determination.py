@@ -6,6 +6,8 @@ subsequent reads (~2.5 s), so the paper overestimates its inter-run
 pause to 5 s; every other device shows no lingering and gets 1 s.
 """
 
+import numpy as np
+
 from repro.analysis import plot_trace
 from repro.core import determine_pause
 from repro.paperdata import FIG5_MTRON
@@ -26,8 +28,8 @@ def test_fig5_mtron_lingering(once):
         write_count=512,
         reads_after=8192,
     )
-    combined = (
-        result.reads_before + result.writes + result.reads_after[:2048]
+    combined = np.concatenate(
+        (result.reads_before, result.writes, result.reads_after[:2048])
     )
     text = plot_trace(
         combined,

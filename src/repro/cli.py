@@ -17,6 +17,8 @@ import argparse
 import sys
 from typing import Sequence
 
+import numpy as np
+
 from repro.analysis import (
     campaign_report,
     classify,
@@ -190,7 +192,9 @@ def _cmd_pause(args: argparse.Namespace) -> int:
     result = determine_pause(device, reads_after=args.reads_after)
     print(f"{device.name}: {result.summary()}")
     if args.plot:
-        combined = result.reads_before + result.writes + result.reads_after
+        combined = np.concatenate(
+            (result.reads_before, result.writes, result.reads_after)
+        )
         print(plot_trace(combined, title="SR / RW / SR probe (Figure 5)"))
     return 0
 

@@ -29,9 +29,10 @@ class PauseDetermination:
     lingering_usec: float
     baseline_read_usec: float
     recommended_pause_usec: float
-    reads_before: list[float]
-    writes: list[float]
-    reads_after: list[float]
+    #: response times (µs) of the three probe phases, in submission order
+    reads_before: np.ndarray
+    writes: np.ndarray
+    reads_after: np.ndarray
 
     @property
     def interferes(self) -> bool:

@@ -54,6 +54,13 @@ Current coverage:
 Everything else (hybrid/FAST FTL families, caches, fault injectors,
 wear levelling, measurement noise) declines up front and runs the
 reference path unchanged.
+
+An attached flight recorder does not change which path runs: every
+kernel emits its window's attribution inputs
+(:func:`repro.flashsim.recorder.window_inputs` — the channel each IO
+dispatched on, its host counters, its copy and erase work as the scoped
+``gc`` / ``merge`` service) into the trace, and feeds the recorder's
+ring the window's rows, exactly as the per-IO path would.
 """
 
 from __future__ import annotations
@@ -69,6 +76,7 @@ from repro.flashsim.chip import ERASED
 from repro.flashsim.ftl.blockmap import BlockMapFTL
 from repro.flashsim.ftl.hybrid import FILLER_TOKEN
 from repro.flashsim.ftl.pagemap import _ACTIVE, _DATA, PageMapFTL
+from repro.flashsim.recorder import window_inputs
 from repro.flashsim.timing import CostAccumulator
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
@@ -177,8 +185,9 @@ def device_decline_reason(device: "FlashDevice") -> str | None:
 
     These are *configuration* preconditions — properties that cannot
     change mid-run: the FTL family and its batch mode, the RAM cache,
-    the flight recorder, measurement noise, fault injection, wear
-    levelling and block health.
+    measurement noise, fault injection, wear levelling and block
+    health.  A flight recorder is not one: the kernels emit attribution
+    for their windows.
 
     Covered families: the page-map FTL (whose kernels reproduce the
     controller *batch* write path, hence the batch-mode requirement)
@@ -194,8 +203,6 @@ def device_decline_reason(device: "FlashDevice") -> str | None:
         return "ftl-family"
     if device.controller.cache is not None:
         return "cache"
-    if device.recorder is not None:
-        return "recorder"
     if device.noise.jitter:
         return "noise"
     if device.chip.fault_injector is not None:
@@ -290,7 +297,7 @@ def _occupy_channels(device, completions):
     window completion, so pick() visits channels in ascending initial
     horizon (lowest index on ties — stable argsort) and then cycles:
     IO *i* lands on ``perm[i % C]``.  Each channel's final horizon is
-    the completion of the last IO it served.
+    the completion of the last IO it served.  Returns ``perm``.
     """
     channels = device._channels
     busys = channels._busy
@@ -300,6 +307,44 @@ def _occupy_channels(device, completions):
     for j in range(min(n_ch, n)):
         last = (n - 1) - ((n - 1 - j) % n_ch)
         channels.occupy(int(perm[j]), float(completions[last]))
+    return perm
+
+
+def _record_window(
+    device, trace, row0, sched0, now, lbas, sizes, write, completions,
+    service, perm, *, notes=None, scope=None, **cost_columns,
+):
+    """Record a synchronous kernel window as trace rows.
+
+    Timing columns are the synchronous host's zero-gap program: IO 0 is
+    scheduled at ``sched0`` and submitted at ``now``, every later IO is
+    scheduled, submitted and started at the previous completion.  With
+    a flight recorder attached the rows also get their attribution
+    inputs (IO *i* dispatched on ``perm[i % C]``; ``scope`` names the
+    tag of the window's copy and erase work) and the ring gets the rows.
+    """
+    n = int(lbas.size)
+    scheduled = np.empty(n, dtype=np.float64)
+    scheduled[0] = now if sched0 is None else sched0
+    scheduled[1:] = completions[:-1]
+    submitted = scheduled.copy()
+    submitted[0] = now
+    recorder = device.recorder
+    attribution = None
+    if recorder is not None:
+        channel = perm[np.arange(n) % perm.size]
+        attribution = (
+            device.timing,
+            window_inputs(
+                device.timing, channel, service, scope=scope, **cost_columns
+            ),
+        )
+    trace.record_run(
+        row0, lbas, sizes, write, scheduled, submitted, submitted,
+        completions, notes=notes, attribution=attribution, **cost_columns,
+    )
+    if recorder is not None:
+        recorder.record_rows(trace, row0, row0 + n)
 
 
 def _accumulate_busy(device, service):
@@ -630,27 +675,16 @@ def write_window(
     controller._last_end_page = int(e_pg[-1])
 
     # device accounting: busy horizon, channels, aggregate counters
-    _occupy_channels(device, completions)
+    perm = _occupy_channels(device, completions)
     device._busy_until = end
     _accumulate_busy(device, service)
     device.stats.writes += n_ios
     device.stats.bytes_written += int(sizes.sum())
 
     if trace is not None:
-        scheduled = np.empty(n_ios, dtype=np.float64)
-        scheduled[0] = now if sched0 is None else sched0
-        scheduled[1:] = completions[:-1]
-        submitted = scheduled.copy()
-        submitted[0] = now
-        trace.record_run(
-            row0,
-            lbas,
-            sizes,
-            True,
-            scheduled,
-            submitted,
-            submitted,
-            completions,
+        _record_window(
+            device, trace, row0, sched0, now, lbas, sizes, True,
+            completions, service, perm,
             page_reads=reads_per_io,
             page_programs=n_pg,
             bytes_transferred=sizes,
@@ -792,27 +826,17 @@ def _pagemap_epoch_window(
     _commit_minted_shadow(controller, R)
     controller._last_end_page = int(e_pg[-1])
 
-    _occupy_channels(device, completions)
+    perm = _occupy_channels(device, completions)
     device._busy_until = end
     _accumulate_busy(device, service)
     device.stats.writes += n_ios
     device.stats.bytes_written += int(sizes.sum())
 
     if trace is not None:
-        scheduled = np.empty(n_ios, dtype=np.float64)
-        scheduled[0] = now if sched0 is None else sched0
-        scheduled[1:] = completions[:-1]
-        submitted = scheduled.copy()
-        submitted[0] = now
-        trace.record_run(
-            row0,
-            lbas,
-            sizes,
-            True,
-            scheduled,
-            submitted,
-            submitted,
-            completions,
+        # every copy and erase here ran inside a garbage collection
+        _record_window(
+            device, trace, row0, sched0, now, lbas, sizes, True,
+            completions, service, perm, notes=notes or None, scope="gc",
             page_reads=reads_per_io,
             page_programs=n_pg,
             copy_reads=copy_reads,
@@ -820,7 +844,6 @@ def _pagemap_epoch_window(
             block_erases=block_erases,
             bytes_transferred=sizes,
             map_misses=miss,
-            notes=notes or None,
         )
 
     STATS.write_windows += 1
@@ -904,51 +927,35 @@ def _blockmap_write_window(device, lbas, sizes, now, trace, row0, sched0):
     completions = _chain(now, service)
     end = float(completions[-1])
 
-    _occupy_channels(device, completions)
+    perm = _occupy_channels(device, completions)
     device._busy_until = end
     _accumulate_busy(device, service)
     device.stats.writes += n_ios
     device.stats.bytes_written += int(sizes.sum())
 
     if trace is not None:
-        scheduled = np.empty(n_ios, dtype=np.float64)
-        scheduled[0] = now if sched0 is None else sched0
-        scheduled[1:] = completions[:-1]
-        submitted = scheduled.copy()
-        submitted[0] = now
         count = n_ios
         notes = {
             j: list(costs[j].notes) for j in range(count) if costs[j].notes
         }
-        trace.record_run(
-            row0,
-            lbas,
-            sizes,
-            True,
-            scheduled,
-            submitted,
-            submitted,
-            completions,
-            page_reads=np.fromiter(
-                (c.page_reads for c in costs), dtype=np.int64, count=count
-            ),
-            page_programs=np.fromiter(
-                (c.page_programs for c in costs), dtype=np.int64, count=count
-            ),
-            copy_reads=np.fromiter(
-                (c.copy_reads for c in costs), dtype=np.int64, count=count
-            ),
-            copy_programs=np.fromiter(
-                (c.copy_programs for c in costs), dtype=np.int64, count=count
-            ),
-            block_erases=np.fromiter(
-                (c.block_erases for c in costs), dtype=np.int64, count=count
-            ),
+
+        def column(name):
+            return np.fromiter(
+                (getattr(c, name) for c in costs), dtype=np.int64, count=count
+            )
+
+        # block-map copies and erases all run inside merge scopes
+        # (replacement-range copies and finalisation)
+        _record_window(
+            device, trace, row0, sched0, now, lbas, sizes, True,
+            completions, service, perm, notes=notes or None, scope="merge",
+            page_reads=column("page_reads"),
+            page_programs=column("page_programs"),
+            copy_reads=column("copy_reads"),
+            copy_programs=column("copy_programs"),
+            block_erases=column("block_erases"),
             bytes_transferred=sizes,
-            map_misses=np.fromiter(
-                (c.map_misses for c in costs), dtype=np.int64, count=count
-            ),
-            notes=notes or None,
+            map_misses=column("map_misses"),
         )
 
     STATS.write_windows += 1
@@ -1090,27 +1097,16 @@ def read_window(
             credit = min(credit, cap)
         device._bg_credit = credit
 
-    _occupy_channels(device, completions)
+    perm = _occupy_channels(device, completions)
     device._busy_until = end
     _accumulate_busy(device, service)
     device.stats.reads += n_ios
     device.stats.bytes_read += int(sizes.sum())
 
     if trace is not None:
-        scheduled = np.empty(n_ios, dtype=np.float64)
-        scheduled[0] = now if sched0 is None else sched0
-        scheduled[1:] = completions[:-1]
-        submitted = scheduled.copy()
-        submitted[0] = now
-        trace.record_run(
-            row0,
-            lbas,
-            sizes,
-            False,
-            scheduled,
-            submitted,
-            submitted,
-            completions,
+        _record_window(
+            device, trace, row0, sched0, now, lbas, sizes, False,
+            completions, service, perm,
             page_reads=reads_per_io,
             bytes_transferred=sizes,
             map_misses=miss,
@@ -1305,6 +1301,7 @@ def run_program_queued(
     depth_time = queue._depth_time
     active_time = queue._active_time
     depth_seq: list[int] = []
+    channel_seq: list[int] = []
     submitted = np.empty(count, dtype=np.float64)
     started = np.empty(count, dtype=np.float64)
     completed = np.empty(count, dtype=np.float64)
@@ -1350,6 +1347,7 @@ def run_program_queued(
             heappush(heap, (completion, i))
             in_flight += 1
             depth_seq.append(in_flight)
+            channel_seq.append(ch)
             submitted[i] = now_i
             started[i] = start
             completed[i] = completion
@@ -1388,6 +1386,17 @@ def run_program_queued(
     queue.timeline._seq += count
     queue.timeline.clock.advance_to(last_event)
 
+    recorder = device.recorder
+    attribution = None
+    if recorder is not None:
+        attribution = (
+            timing,
+            window_inputs(
+                timing, np.asarray(channel_seq), service,
+                page_reads=reads_per_io, bytes_transferred=sizes,
+                map_misses=miss,
+            ),
+        )
     trace.record_run(
         0,
         lbas,
@@ -1400,7 +1409,10 @@ def run_program_queued(
         page_reads=reads_per_io,
         bytes_transferred=sizes,
         map_misses=miss,
+        attribution=attribution,
     )
+    if recorder is not None:
+        recorder.record_rows(trace, 0, count)
 
     STATS.queued_windows += 1
     STATS.queued_ios += count

@@ -31,7 +31,7 @@ from repro.flashsim.clock import EventTimeline
 from repro.flashsim.controller import Controller
 from repro.flashsim.ftl.base import BaseFTL
 from repro.flashsim.geometry import Geometry
-from repro.flashsim.recorder import IOEvent, attribute_io
+from repro.flashsim.recorder import attribution_inputs, event_from_inputs
 from repro.flashsim.timing import CostAccumulator, TimingSpec
 from repro.iotypes import CompletedIO, IORequest, Mode
 
@@ -358,9 +358,12 @@ class FlashDevice:
             self._busy_until = completion
         self._account(write, size, service, interfered)
         if recorder is not None:
-            self._record_flight(
-                recorder, lba, size, write, now, start, completion,
-                cost, service_base, service_scaled, service, channel,
+            cost.attribution = (
+                self.timing,
+                attribution_inputs(
+                    self.timing, cost, channel,
+                    service_base, service_scaled, service,
+                ),
             )
         return start, completion, cost, channel
 
@@ -379,9 +382,17 @@ class FlashDevice:
         The device is a single queue: service starts when it falls idle.
         Response time = completion − submission, queueing included.
         """
+        write = request.mode is Mode.WRITE
         start, completion, cost = self._service(
-            request.lba, request.size, request.mode is Mode.WRITE, now
+            request.lba, request.size, write, now
         )
+        if cost.attribution is not None:
+            self._recorder.record(
+                event_from_inputs(
+                    *cost.attribution, request.lba, request.size, write,
+                    now, start, completion,
+                )
+            )
         return CompletedIO(
             request=request,
             submitted_at=now,
@@ -406,12 +417,15 @@ class FlashDevice:
         program runners: no :class:`~repro.iotypes.IORequest` /
         :class:`~repro.iotypes.CompletedIO` objects are built, the IO
         lands in ``trace`` as scalars at row ``index``.  Returns the
-        completion time.
+        completion time.  With a flight recorder attached the row keeps
+        its attribution inputs and the ring gets a reference to it.
         """
         start, completion, cost = self._service(lba, size, write, now)
         trace.record_at(
             index, lba, size, write, scheduled_at, now, start, completion, cost
         )
+        if self._recorder is not None:
+            self._recorder.record_rows(trace, index, index + 1)
         return completion
 
     # ------------------------------------------------------------------
@@ -426,6 +440,7 @@ class FlashDevice:
         now: float,
         tag: int,
         scheduled_at: float | None = None,
+        trace: "IOTrace | None" = None,
     ) -> QueuedCompletion:
         """Queue one IO without blocking; raises when the queue is full.
 
@@ -436,6 +451,10 @@ class FlashDevice:
         host to pop.  Returns the in-flight entry; its ``completed_at``
         is already final, but the host must still
         :meth:`pop_next_completion` to retire it from the queue.
+
+        A host that records the completion into ``trace`` at row ``tag``
+        passes that trace, so an attached flight recorder references the
+        row instead of building an event now.
         """
         if not self._queue.has_slot():
             raise QueueError(
@@ -457,6 +476,16 @@ class FlashDevice:
             cost=cost,
         )
         self._queue.push(entry)
+        if cost.attribution is not None:
+            if trace is not None:
+                self._recorder.record_rows(trace, tag, tag + 1)
+            else:
+                self._recorder.record(
+                    event_from_inputs(
+                        *cost.attribution, lba, size, write, now, start,
+                        completion,
+                    )
+                )
         return entry
 
     def pop_next_completion(self) -> QueuedCompletion:
@@ -559,12 +588,13 @@ class FlashDevice:
     def attach_recorder(self, recorder) -> None:
         """Enable per-IO latency attribution.
 
-        While attached, every dispatched IO is decomposed into named
-        components (see :mod:`repro.flashsim.recorder`), the
-        decomposition is stamped on the IO's cost accumulator (from
-        where traces pick it up) and an event is pushed into the
-        recorder's ring.  The recorder is observability, not state: it
-        never changes timing, is excluded from snapshots and
+        While attached, every dispatched IO — per-IO or inside an
+        analytic kernel window — carries its attribution inputs (see
+        :mod:`repro.flashsim.recorder`) into the trace it is recorded
+        in, which decomposes all its rows at once when the run ends, and
+        the recorder's ring receives the IO in dispatch order.  The
+        recorder is observability, not state: it never changes timing
+        or the code path an IO takes, is excluded from snapshots and
         fingerprints, and detaching restores the zero-cost path.
         """
         self._recorder = recorder
@@ -573,46 +603,6 @@ class FlashDevice:
         """Disable attribution; returns the recorder that was attached."""
         recorder, self._recorder = self._recorder, None
         return recorder
-
-    def _record_flight(
-        self,
-        recorder,
-        lba: int,
-        size: int,
-        write: bool,
-        now: float,
-        start: float,
-        completion: float,
-        cost: CostAccumulator,
-        service_base: float,
-        service_scaled: float,
-        service_final: float,
-        channel: int,
-    ) -> None:
-        """Decompose one dispatched IO and record it (recorder path)."""
-        attribution = attribute_io(
-            self.timing,
-            cost,
-            wait=start - now,
-            service_base=service_base,
-            service_scaled=service_scaled,
-            service_final=service_final,
-            response=completion - now,
-            channel=channel,
-        )
-        cost.attribution = attribution
-        recorder.record(
-            IOEvent(
-                lba=lba,
-                size=size,
-                write=write,
-                submitted_at=now,
-                started_at=start,
-                completed_at=completion,
-                channel=channel,
-                components=attribution[1:],
-            )
-        )
 
     # ------------------------------------------------------------------
     # snapshot / restore

@@ -70,6 +70,7 @@ class SyncHost:
         if count and analytic.run_program_into(
             self.device, program, trace, start_at, self.os_overhead_usec
         ):
+            trace.attribute()
             return trace
         lbas = program.lbas.tolist()
         sizes = program.sizes.tolist()
@@ -85,6 +86,7 @@ class SyncHost:
                 trace, i, lbas[i], sizes[i], writes[i],
                 submit_at + overhead, scheduled,
             )
+        trace.attribute()
         return trace
 
 
@@ -128,6 +130,7 @@ class AsyncHost:
         if analytic.run_program_queued(
             self.device, program, trace, start_at, self.os_overhead_usec, depth
         ):
+            trace.attribute()
             return trace
         lbas = program.lbas.tolist()
         sizes = program.sizes.tolist()
@@ -154,6 +157,7 @@ class AsyncHost:
                 device.submit_async(
                     lbas[i], sizes[i], writes[i],
                     clock + overhead, tag=i, scheduled_at=scheduled,
+                    trace=trace,
                 )
                 in_flight += 1
                 i += 1
@@ -168,6 +172,7 @@ class AsyncHost:
                 if entry.completed_at > clock:
                     clock = entry.completed_at
                 in_flight -= 1
+        trace.attribute()
         return trace
 
 
@@ -209,6 +214,8 @@ class ParallelHost:
                     best_time = ready_at
                     best = state
             if best is None:
+                for state in states:
+                    state.trace.attribute()
                 return [state.trace for state in states]
             position = best.position
             completion = submit_into(

@@ -443,16 +443,6 @@ class SnapshotStore:
                 except BufferError:  # pragma: no cover - views still live
                     pass
 
-    def discard(self, fingerprint: str) -> None:
-        """Unlink one fingerprint's segment before the store closes."""
-        name = self._by_fingerprint.pop(fingerprint, None)
-        if name is None:
-            return
-        self._segments.pop(name, None)
-        if name in self._names:
-            self._names.remove(name)
-        _unlink_segments([name])
-
     def close(self) -> None:
         """Unlink every segment; idempotent, also runs at interpreter exit."""
         self._segments.clear()

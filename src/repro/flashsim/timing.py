@@ -160,9 +160,10 @@ class CostAccumulator:
     #: sub-accumulators whose totals are folded back with a ``(tag, sub)``
     #: entry here.  Excluded from equality — it is observability, not work.
     scopes: list | None = field(default=None, compare=False, repr=False)
-    #: per-IO latency decomposition attached by the device when a flight
-    #: recorder is enabled: ``(channel, component_usec...)`` integers in
-    #: :data:`repro.flashsim.recorder.COMPONENTS` order.
+    #: attribution inputs stamped by the device when a flight recorder
+    #: is attached: ``(timing, row)`` with ``row`` in
+    #: :data:`repro.flashsim.recorder.INPUT_COLUMNS` order; traces store
+    #: the row and decompose all their rows at once.
     attribution: tuple | None = field(default=None, compare=False, repr=False)
 
     def add(self, other: "CostAccumulator") -> None:

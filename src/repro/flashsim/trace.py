@@ -30,6 +30,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from repro.errors import AnalysisError
+from repro.flashsim.recorder import INPUT_COLUMNS, attribute_rows
 from repro.flashsim.timing import CostAccumulator
 from repro.iotypes import CompletedIO, IORequest, Mode
 
@@ -74,11 +75,14 @@ _INT_COLUMNS = frozenset(
     name for name, dtype in _COLUMNS if dtype is np.int64
 )
 
-#: lazily-allocated attribution columns (flight-recorder runs only), in
+#: attribution columns (flight-recorder runs only), in
 #: :data:`repro.flashsim.recorder.COMPONENTS` order after ``channel``.
 #: Integer microseconds; the ``attr_*`` columns sum to the rounded
 #: response time of every row — the flight recorder's exactness
-#: invariant.
+#: invariant.  A trace being recorded stores each row's attribution
+#: *inputs* and computes these columns for all pending rows at once
+#: (:meth:`IOTrace.attribute`, called when a host's run ends and before
+#: any read).
 ATTRIBUTION_COLUMNS = (
     "channel",
     "attr_wait_usec",
@@ -148,8 +152,14 @@ class IOTrace:
         self._n = 0
         self._notes: dict[int, list[str]] = {}
         self._response_cache: np.ndarray | None = None
-        #: (capacity, len(ATTRIBUTION_COLUMNS)) int64 matrix, allocated
-        #: on the first attributed record — plain runs never pay for it
+        #: (capacity, len(INPUT_COLUMNS)) float64 matrix of
+        #: pending attribution inputs (NaN channel = no input), allocated
+        #: on the first attributed record — plain runs never pay for it —
+        #: and released by :meth:`attribute`; with the timing they use
+        self._attr_in: np.ndarray | None = None
+        self._attr_timing = None
+        #: (capacity, len(ATTRIBUTION_COLUMNS)) int64 matrix of
+        #: decomposed rows (computed or carried by a payload)
         self._attr: np.ndarray | None = None
         self._allocate(max(int(capacity), 0))
 
@@ -168,6 +178,12 @@ class IOTrace:
             grown = np.zeros(capacity, dtype=dtype)
             grown[: self._n] = old[: self._n]
             setattr(self, "_" + name, grown)
+        if self._attr_in is not None:
+            grown_in = np.full(
+                (capacity, self._attr_in.shape[1]), np.nan, dtype=np.float64
+            )
+            grown_in[: self._n] = self._attr_in[: self._n]
+            self._attr_in = grown_in
         if self._attr is not None:
             grown_attr = np.zeros(
                 (capacity, len(ATTRIBUTION_COLUMNS)), dtype=np.int64
@@ -242,7 +258,8 @@ class IOTrace:
         if cost.notes:
             self._notes[row] = cost.notes
         if cost.attribution is not None:
-            self._record_attr(row, cost.attribution)
+            timing, inputs = cost.attribution
+            self._attribution_inputs(timing)[row] = inputs
         self._response_cache = None
 
     def record_run(
@@ -264,6 +281,7 @@ class IOTrace:
         bytes_transferred: np.ndarray | None = None,
         map_misses: np.ndarray | None = None,
         notes: "dict[int, list[str]] | None" = None,
+        attribution: "tuple | None" = None,
     ) -> None:
         """Record a contiguous run of same-mode IOs from column arrays.
 
@@ -275,8 +293,10 @@ class IOTrace:
         (``copy_reads``/``copy_programs``/``block_erases``) and a sparse
         ``notes`` mapping of *relative* row to that IO's provenance notes
         (e.g. ``["gc"]`` per collection), stored exactly as the per-IO
-        path would have.  Each row must be recorded exactly once, like
-        :meth:`record_at`.
+        path would have.  ``attribution`` is ``(timing, inputs)`` with
+        one :data:`repro.flashsim.recorder.INPUT_COLUMNS` row per IO
+        (flight-recorder runs).  Each row must be recorded exactly once,
+        like :meth:`record_at`.
         """
         n = int(lbas.size)
         if n == 0:
@@ -315,15 +335,47 @@ class IOTrace:
             for rel, row_notes in notes.items():
                 if row_notes:
                     self._notes[row0 + rel] = row_notes
+        if attribution is not None:
+            timing, inputs = attribution
+            self._attribution_inputs(timing)[rows] = inputs
         self._response_cache = None
 
-    def _record_attr(self, row: int, attribution: tuple) -> None:
-        """Store one IO's latency decomposition (lazy first allocation)."""
+    def _attribution_inputs(self, timing) -> np.ndarray:
+        """The pending attribution-input matrix (allocated on first use)."""
+        if self._attr_in is None:
+            self._attr_in = np.full(
+                (self._capacity, len(INPUT_COLUMNS)), np.nan, dtype=np.float64
+            )
+        self._attr_timing = timing
+        return self._attr_in
+
+    def attribute(self) -> None:
+        """Decompose every row whose attribution inputs are pending.
+
+        One :func:`repro.flashsim.recorder.attribute_rows` call over
+        those rows fills the attribution columns, and the inputs are
+        released.  The hosts call this when a run ends; reading the
+        attribution calls it too, so rows recorded by other means are
+        never left pending.
+        """
+        inputs = self._attr_in
+        if inputs is None:
+            return
         if self._attr is None:
             self._attr = np.zeros(
                 (self._capacity, len(ATTRIBUTION_COLUMNS)), dtype=np.int64
             )
-        self._attr[row] = attribution
+        rows = np.flatnonzero(~np.isnan(inputs[: self._n, 0]))
+        if rows.size:
+            submitted = self._submitted_at[rows]
+            self._attr[rows] = attribute_rows(
+                self._attr_timing,
+                inputs[rows],
+                self._started_at[rows] - submitted,
+                self._completed_at[rows] - submitted,
+            )
+        self._attr_in = None
+        self._attr_timing = None
 
     def append(self, completed: CompletedIO) -> None:
         """Record one completed IO as the next row, keeping its
@@ -432,14 +484,17 @@ class IOTrace:
     @property
     def has_attribution(self) -> bool:
         """Whether this trace carries per-IO latency attribution."""
-        return self._attr is not None
+        return self._attr_in is not None or self._attr is not None
 
     def attribution_matrix(self) -> np.ndarray:
         """Read-only ``(len(self), len(ATTRIBUTION_COLUMNS))`` int64
         matrix of the per-IO decomposition (column order is
         :data:`ATTRIBUTION_COLUMNS`).  Raises when the trace was
         recorded without a flight recorder attached.
+
+        Rows still pending are decomposed first (:meth:`attribute`).
         """
+        self.attribute()
         if self._attr is None:
             raise ValueError("trace carries no attribution columns")
         view = self._attr[: self._n].view()
@@ -611,9 +666,10 @@ class IOTrace:
         }
         if notes:
             payload["notes"] = notes
-        if self._attr is not None:
+        if self.has_attribution:
+            matrix = self.attribution_matrix()
             payload["attribution"] = {
-                name: self._attr[:n, i].tolist()
+                name: matrix[:, i].tolist()
                 for i, name in enumerate(ATTRIBUTION_COLUMNS)
             }
         return payload

@@ -6,10 +6,12 @@ time — not approximately, not on average.  This suite pins that across
 the same equivalence axes the performance suites use: all four FTL
 families, calibrated profiles (with measurement noise), the write-back
 cache, sync vs queued hosts at depth 1, columnar vs per-IO object
-recording, and scalar vs batch kernels — plus the float-residual oracle, the
-apportionment edge cases, trace round-trips and the recorder's
-pure-observability guarantee (a device with a recorder attached must
-evolve bit-identically to one without).
+recording, the analytic kernels vs the per-IO reference, and scalar vs
+batch kernels — plus the float-residual oracle, the column function
+against the scalar ``attribute_io``, the apportionment edge cases,
+trace round-trips and the recorder's pure-observability guarantee (a
+device with a recorder attached must evolve bit-identically to one
+without).
 """
 
 from __future__ import annotations
@@ -22,13 +24,16 @@ import pytest
 from repro.core.engine import Engine
 from repro.core.generator import PatternGenerator
 from repro.core.patterns import baselines
-from repro.flashsim import build_device
-from repro.flashsim.host import AsyncHost, SyncHost
+from repro.flashsim import analytic, build_device
+from repro.flashsim.host import AsyncHost, ParallelHost, SyncHost
 from repro.flashsim.recorder import (
     COMPONENTS,
     FlightRecorder,
     _apportion,
+    _apportion_rows,
     attribute_io,
+    attribute_rows,
+    attribution_inputs,
     events_from_trace,
     summarize_components,
     unattributed_usec,
@@ -108,6 +113,82 @@ def test_apportion_ties_are_deterministic():
     components = [1.5, 1.5, 1.5, 1.5]
     assert _apportion(components, 6) == _apportion(components, 6)
     assert sum(_apportion(components, 6)) == 6
+
+
+def test_apportion_rows_matches_scalar_apportion():
+    """The row-wise apportionment equals the scalar one, ties included."""
+    rng = np.random.default_rng(5)
+    rows = rng.uniform(-5.0, 400.0, size=(400, len(COMPONENTS)))
+    rows[::4] = np.round(rows[::4] * 2.0) / 2.0  # exact .5 remainders: ties
+    rows[1::4, 3:6] = 1.5
+    rows[2::4, -1] = -rows[2::4, -1]  # a negative noise delta
+    targets = np.rint(rows.sum(axis=1)) + rng.integers(-2, 3, size=len(rows))
+    vectorised = _apportion_rows(rows, targets)
+    for row, target, shares in zip(rows.tolist(), targets, vectorised):
+        assert tuple(shares.tolist()) == _apportion(row, int(target))
+
+
+def _random_cost(rng: np.random.Generator) -> CostAccumulator:
+    """A cost with host work and a random (possibly nested) scope tree."""
+    cost = CostAccumulator()
+    cost.scopes = []
+    cost.page_reads += int(rng.integers(0, 9))
+    cost.page_programs += int(rng.integers(0, 9))
+    cost.copy_reads += int(rng.integers(0, 3))  # unscoped copies: gc
+    cost.bytes_transferred += int(rng.integers(0, 65)) * 512
+    cost.map_misses += int(rng.integers(0, 2))
+    cost.extra_usec += float(rng.choice([0.0, 0.75, 3.1]))
+    tags = ("gc", "merge", "wear", "cache", "mystery")
+    for _ in range(int(rng.integers(0, 3))):
+        sub = cost.begin_scope()
+        sub.copy_reads += int(rng.integers(0, 64))
+        sub.copy_programs += int(rng.integers(0, 64))
+        sub.block_erases += int(rng.integers(0, 3))
+        if rng.random() < 0.5:
+            nested = sub.begin_scope()
+            nested.copy_programs += int(rng.integers(1, 32))
+            nested.page_programs += int(rng.integers(0, 4))
+            nested.extra_usec += 0.3
+            sub.end_scope(str(rng.choice(tags)), nested)
+        cost.end_scope(str(rng.choice(tags)), sub)
+    return cost
+
+
+def test_attribute_rows_matches_scalar_oracle():
+    """Per-IO inputs through the column function give, row for row, the
+    scalar ``attribute_io`` decomposition (interference, noise, waits,
+    unscoped and unknown tags included)."""
+    rng = np.random.default_rng(17)
+    timing = TimingSpec(
+        map_miss=12.0, copy_page_extra=5.0, channels=4, planes=2,
+        copy_parallelism=2.0,
+    )
+    inputs, waits, responses, expected = [], [], [], []
+    for i in range(300):
+        cost = _random_cost(rng)
+        base = cost.total(timing)
+        scaled = base * (1.6 if i % 3 == 0 else 1.0)
+        final = scaled * float(rng.choice([1.0, 0.93, 1.07]))
+        wait = float(rng.choice([0.0, 12.5, 1.0 / 3.0]))
+        # a response a few ulps off wait + final, as a completion chain gives
+        response = (wait + 40.0) + final - 40.0
+        channel = int(rng.integers(0, 4))
+        inputs.append(
+            attribution_inputs(timing, cost, channel, base, scaled, final)
+        )
+        waits.append(wait)
+        responses.append(response)
+        expected.append(
+            attribute_io(
+                timing, cost, wait=wait, service_base=base,
+                service_scaled=scaled, service_final=final,
+                response=response, channel=channel,
+            )
+        )
+    matrix = attribute_rows(
+        timing, np.array(inputs), np.array(waits), np.array(responses)
+    )
+    assert [tuple(row) for row in matrix.tolist()] == expected
 
 
 def test_synthetic_decomposition_residual_is_float_noise():
@@ -212,17 +293,42 @@ def test_sync_async_depth1_attribution_identical(ftl_kind, kind):
     )
 
 
-@pytest.mark.parametrize("profile", ("memoright", "kingston_dti"))
+#: per-profile RW spec of the columnar/legacy comparison; ideal_pagemap
+#: writes enough to cross the free-pool watermark (GC-epoch windows)
+_COLUMNAR_SPECS = {
+    "memoright": dict(io_size=16 * KIB, io_count=64),
+    "kingston_dti": dict(io_size=16 * KIB, io_count=64),
+    "ideal_pagemap": dict(
+        io_size=64 * KIB, io_count=512, random_target_size=4 * MIB
+    ),
+}
+
+
+def _assert_kernels_served_with_recorder():
+    """The recorder no longer declines the analytic kernels."""
+    stats = analytic.STATS
+    assert not [k for k in stats.declines if k.endswith(":recorder")]
+    assert stats.write_ios + stats.read_ios + stats.queued_ios > 0
+
+
+@pytest.mark.parametrize("profile", ("memoright", "kingston_dti", "ideal_pagemap"))
 def test_columnar_legacy_attribution_identical(profile):
     """The engine's columnar recording and per-IO ``FlashDevice.submit``
-    completions appended to a trace carry the same attribution."""
-    spec = baselines(io_size=16 * KIB, io_count=64)["RW"]
+    completions appended to a trace carry the same attribution — for
+    the page-map and block-map devices that is the analytic kernels'
+    attribution against the per-IO reference."""
+    spec = baselines(**_COLUMNAR_SPECS[profile])["RW"]
     columnar_device, legacy_device = (
         build_device(profile, logical_bytes=4 * MIB) for _ in range(2)
     )
     columnar_device.attach_recorder(FlightRecorder())
     legacy_device.attach_recorder(FlightRecorder())
+    analytic.STATS.reset()
     columnar = Engine(columnar_device).run(spec).trace
+    if profile != "memoright":  # the hybrid FTL has no kernel
+        _assert_kernels_served_with_recorder()
+    if profile == "ideal_pagemap":
+        assert analytic.STATS.epoch_collections > 0
     legacy = IOTrace()
     program = PatternGenerator(spec).program()
     clock = 0.0
@@ -237,6 +343,72 @@ def test_columnar_legacy_attribution_identical(profile):
     _assert_trace_balanced(columnar)
     _assert_trace_balanced(legacy)
     assert np.array_equal(columnar.attribution_matrix(), legacy.attribution_matrix())
+    # the rings: kernel-window row references vs one event per submit
+    assert columnar_device.recorder.events() == legacy_device.recorder.events()
+
+
+def test_parallel_host_ring_in_dispatch_order():
+    """Interleaved processes feed the ring in dispatch order, one event
+    per IO, each equal to its trace row's decomposition."""
+    device = make_device(ftl_kind="pagemap")
+    recorder = FlightRecorder(capacity=10_000)
+    device.attach_recorder(recorder)
+    programs = [
+        PatternGenerator(
+            baselines(
+                io_size=8 * KIB, io_count=32,
+                random_target_size=1 * MIB, sequential_target_size=512 * KIB,
+            )[kind]
+        ).program()
+        for kind in ("SW", "RW", "SR")
+    ]
+    traces = ParallelHost(device).run_programs(programs)
+    events = recorder.events()
+    rows = [e for trace in traces for e in events_from_trace(trace)]
+    assert len(events) == len(rows) == sum(len(p) for p in programs)
+    assert sorted(events, key=lambda e: e.started_at) == events
+    assert sorted(rows, key=lambda e: e.started_at) == events
+    # the processes really interleave
+    assert [e.write for e in events[:3]] != [e.write for e in rows[:3]]
+
+
+def test_queued_read_kernel_attribution_matches_reference(monkeypatch):
+    """A depth-4 zero-gap read program through the queued kernel carries
+    the attribution of the per-IO async reference loop."""
+    spec = baselines(
+        io_size=16 * KIB, io_count=256, random_target_size=4 * MIB
+    )["RR"]
+
+    def run():
+        device = build_device("ideal_pagemap", logical_bytes=4 * MIB)
+        SyncHost(device).run_program(
+            PatternGenerator(
+                baselines(io_size=64 * KIB, io_count=64)["SW"]
+            ).program()
+        )
+        recorder = FlightRecorder(capacity=10_000)
+        device.attach_recorder(recorder)
+        trace = AsyncHost(device).run_program(
+            PatternGenerator(spec).program(), queue_depth=4,
+            start_at=device.busy_until,
+        )
+        return trace, recorder, device
+
+    analytic.STATS.reset()
+    fast, fast_ring, fast_device = run()
+    assert analytic.STATS.queued_ios == len(fast)
+    _assert_kernels_served_with_recorder()
+    monkeypatch.setattr(analytic, "ENABLED", False)
+    reference, reference_ring, reference_device = run()
+    _assert_trace_balanced(fast)
+    assert fast.to_csv() == reference.to_csv()
+    assert np.array_equal(
+        fast.attribution_matrix(), reference.attribution_matrix()
+    )
+    assert fast_ring.events() == reference_ring.events()
+    assert fast_device.fingerprint() == reference_device.fingerprint()
+    # queued reads overlap across channels
+    assert len(set(fast.attribution_column("channel").tolist())) > 1
 
 
 @pytest.mark.parametrize("ftl_kind", FTL_KINDS)

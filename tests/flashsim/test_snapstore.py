@@ -194,18 +194,6 @@ def test_store_close_unlinks_every_segment():
     store.close()  # idempotent
 
 
-def test_store_discard_unlinks_one_segment():
-    store = SnapshotStore()
-    try:
-        device = enforced_device()
-        name, _ = store.publish(device.fingerprint(), device.snapshot())
-        store.discard(device.fingerprint())
-        assert not segment_exists(name)
-        assert store.get(device.fingerprint()) is None
-    finally:
-        store.close()
-
-
 def test_store_finalizer_unlinks_on_garbage_collection():
     store = SnapshotStore()
     device = enforced_device()

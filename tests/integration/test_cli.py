@@ -88,6 +88,33 @@ def test_pause_subcommand(capsys):
     assert "recommended pause" in out
 
 
+def test_pause_plot_at_default_reads_after(capsys, monkeypatch):
+    """``pause --plot`` at the default ``--reads-after 4096`` plots the
+    three probe phases one after another (Figure 5)."""
+    import numpy as np
+
+    import repro.cli as cli
+
+    plotted = []
+    real_plot = cli.plot_trace
+
+    def spy(values, **kwargs):
+        plotted.append(np.asarray(values))
+        return real_plot(values, **kwargs)
+
+    monkeypatch.setattr(cli, "plot_trace", spy)
+    code, out = run_cli(
+        capsys, "pause", "--device", "kingston_dti", "--capacity", "8M", "--plot"
+    )
+    assert code == 0
+    assert "SR / RW / SR probe (Figure 5)" in out
+    (values,) = plotted
+    # 512 reads before + 512 writes + 4096 reads after, not their sum
+    assert values.shape == (512 + 512 + 4096,)
+    assert (values > 0).all()
+    assert out.rstrip().endswith(str(512 + 512 + 4096 - 1))
+
+
 def test_hints_subcommand(capsys):
     code, out = run_cli(
         capsys,

@@ -63,8 +63,12 @@ def test_api_docs_are_current(tmp_path, monkeypatch):
     ]
     text = committed.read_text()
     for part in expected_parts:
-        first_heading = part.splitlines()[0]
-        assert first_heading in text
+        # the whole rendered section, so a stale signature or summary
+        # fails too, not only a missing package heading
+        assert part in text, (
+            f"docs/api.md section {part.splitlines()[0]} is stale; "
+            "run python tools/gen_api_docs.py"
+        )
     # spot-check: a recently added public name is documented
     assert "autotune_run" in text
     assert "fingerprint" in text
